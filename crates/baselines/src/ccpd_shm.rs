@@ -11,17 +11,17 @@
 //! but there is a barrier synchronization at the end of each iteration."*
 //!
 //! Here the shared hash tree is a real shared [`HashTree`] (its counts
-//! are relaxed atomics), the processors are rayon tasks over logical
-//! partition blocks, and the per-iteration barrier is the implicit join
-//! of the parallel iterator. This is the runnable shared-memory baseline
-//! a downstream user can race against `eclat::parallel` on a multicore
+//! are relaxed atomics), the processors are scoped threads, one per
+//! logical partition block, and the per-iteration barrier is the end of
+//! the thread scope. This is the runnable shared-memory baseline a
+//! downstream user can race against `eclat::parallel` on a multicore
 //! machine.
 
 use apriori::gen::generate_candidates;
 use apriori::hash_tree::HashTree;
 use dbstore::{BlockPartition, HorizontalDb};
 use mining_types::{FrequentSet, ItemId, Itemset, MinSupport, OpMeter};
-use rayon::prelude::*;
+use std::ops::Range;
 
 /// Configuration for shared-memory CCPD.
 #[derive(Clone, Debug)]
@@ -30,7 +30,7 @@ pub struct CcpdShmConfig {
     pub fanout: usize,
     /// Hash-tree leaf split threshold.
     pub leaf_threshold: usize,
-    /// Number of logical partitions (defaults to the rayon thread count).
+    /// Number of logical partitions (defaults to one per available core).
     pub partitions: Option<usize>,
 }
 
@@ -51,33 +51,26 @@ pub fn mine_ccpd_shm(db: &HorizontalDb, minsup: MinSupport, cfg: &CcpdShmConfig)
     let threshold = minsup.count_threshold(db.num_transactions());
     let parts = cfg
         .partitions
-        .unwrap_or_else(rayon::current_num_threads)
-        .max(1);
-    let partition = BlockPartition::equal_blocks(db.num_transactions(), parts);
-    let blocks: Vec<std::ops::Range<usize>> = partition.iter().map(|(_, r)| r).collect();
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+    let partition = BlockPartition::equal_blocks(db.num_transactions(), parts.max(1));
+    let blocks: Vec<Range<usize>> = partition.iter().map(|(_, r)| r).collect();
     let mut result = FrequentSet::new();
 
     // Iteration 1: per-block item counts merged by reduction.
-    let item_counts: Vec<u32> = blocks
-        .par_iter()
-        .map(|r| {
-            let mut counts = vec![0u32; db.num_items() as usize];
-            for (_tid, items) in db.iter_range(r.clone()) {
-                for &it in items {
-                    counts[it.index()] += 1;
-                }
+    let mut item_counts = vec![0u32; db.num_items() as usize];
+    for counts in on_partitions(&blocks, |r| {
+        let mut counts = vec![0u32; db.num_items() as usize];
+        for (_tid, items) in db.iter_range(r) {
+            for &it in items {
+                counts[it.index()] += 1;
             }
-            counts
-        })
-        .reduce(
-            || vec![0u32; db.num_items() as usize],
-            |mut a, b| {
-                for (x, y) in a.iter_mut().zip(b) {
-                    *x += y;
-                }
-                a
-            },
-        );
+        }
+        counts
+    }) {
+        for (x, y) in item_counts.iter_mut().zip(counts) {
+            *x += y;
+        }
+    }
 
     let mut l_prev: Vec<Itemset> = Vec::new();
     for (i, &c) in item_counts.iter().enumerate() {
@@ -99,13 +92,13 @@ pub fn mine_ccpd_shm(db: &HorizontalDb, minsup: MinSupport, cfg: &CcpdShmConfig)
                 tree.insert(c);
             }
             let tree = &tree; // shared immutably; counts are atomic
-            blocks.par_iter().for_each(|r| {
+            on_partitions(&blocks, |r| {
                 let mut meter = OpMeter::new();
-                for (_tid, items) in db.iter_range(r.clone()) {
+                for (_tid, items) in db.iter_range(r) {
                     tree.count_transaction(items, &mut meter);
                 }
             });
-            // implicit barrier: par_iter joined; select L_k
+            // barrier: every partition's thread joined; select L_k
             l_cur = tree.frequent(threshold);
         }
         for (is, c) in &l_cur {
@@ -115,6 +108,25 @@ pub fn mine_ccpd_shm(db: &HorizontalDb, minsup: MinSupport, cfg: &CcpdShmConfig)
         k += 1;
     }
     result
+}
+
+/// Run `scan` over every logical partition, one scoped thread each, and
+/// return the results in partition order once all have joined.
+fn on_partitions<R: Send>(
+    blocks: &[Range<usize>],
+    scan: impl Fn(Range<usize>) -> R + Sync,
+) -> Vec<R> {
+    let scan = &scan;
+    std::thread::scope(|s| {
+        let handles: Vec<_> = blocks
+            .iter()
+            .map(|r| s.spawn(move || scan(r.clone())))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("partition thread panicked"))
+            .collect()
+    })
 }
 
 #[cfg(test)]

@@ -8,8 +8,8 @@
 //!   our combination enumeration and the triangular-`L2` optimization is
 //!   available as a switch.
 //! * [`ccpd_shm`] — **CCPD on real shared memory** \[16\]: one shared
-//!   candidate hash tree with atomic counts, rayon tasks as processors —
-//!   the runnable multicore baseline.
+//!   candidate hash tree with atomic counts, one scoped thread per
+//!   logical partition as processors — the runnable multicore baseline.
 //! * [`candidate_dist`] — **Candidate Distribution** (§3.2): Count
 //!   Distribution up to a chosen pass `l`, then candidates are
 //!   partitioned by equivalence class, the database is selectively

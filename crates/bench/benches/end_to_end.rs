@@ -1,5 +1,5 @@
 //! End-to-end wall-clock mining on a scaled `T10.I6` database: sequential
-//! Eclat vs Apriori vs the rayon-parallel Eclat, plus the recursive
+//! Eclat vs Apriori vs the shared-memory parallel Eclat, plus the recursive
 //! kernel alone. Complements the simulated-time Table 2 with *real* times
 //! on the build machine.
 

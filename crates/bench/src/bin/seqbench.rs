@@ -14,8 +14,7 @@
 //! diverge from the sequential baseline aborts the run instead of
 //! printing a meaningless speedup. `scripts/check.sh` runs `--smoke`.
 
-use eclat::executor::TaskExecutor;
-use eclat::pipeline::{FixedThreads, Rayon, Serial};
+use eclat::pipeline::{ExecutionPolicy, FixedThreads, Rayon, Serial};
 use eclat_seq::{mine_stats, FrequentSequences, SeqConfig, SeqDb, SeqStats};
 use mining_types::json::{Arr, Obj};
 use mining_types::stats::MiningStats;
@@ -51,7 +50,7 @@ fn timed_mine(
     db: &SeqDb,
     minsup: MinSupport,
     cfg: &SeqConfig,
-    policy: &impl TaskExecutor,
+    policy: &impl ExecutionPolicy,
     variant: &str,
 ) -> (FrequentSequences, MiningStats, f64) {
     let mut meter = OpMeter::new();

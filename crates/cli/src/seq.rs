@@ -17,30 +17,24 @@
 
 use crate::common::{arm_tracing, stats_mode, support_of, Flags, StatsMode};
 use dbstore::seqfmt;
-use eclat::pipeline::{FixedThreads, Rayon, Serial};
-use eclat_seq::{mine_stats, reference, FrequentSequences, SeqConfig, SeqDb, SeqStats};
-use mining_types::stats::MiningStats;
-use mining_types::{MinSupport, OpMeter};
+use eclat::pipeline::FixedThreads;
+use eclat_seq::{mine_stats, reference, SeqConfig, SeqDb, SeqStats};
+use mining_types::OpMeter;
 use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
 
-/// Which executor `--policy` asked for.
-enum Policy {
-    Serial,
-    Rayon,
-    Threads(usize),
-}
-
-fn policy_of(flags: &Flags) -> Result<Policy, String> {
+/// `--policy`: the report's variant label and the thread count to mine
+/// on (bare `threads`, like `rayon`, is every core).
+fn policy_of(flags: &Flags) -> Result<(&'static str, FixedThreads), String> {
     match flags.get("policy").unwrap_or("serial") {
-        "serial" => Ok(Policy::Serial),
-        "rayon" => Ok(Policy::Rayon),
-        "threads" => Ok(Policy::Threads(0)),
+        "serial" => Ok(("sequential", FixedThreads::new(1))),
+        "rayon" => Ok(("rayon", FixedThreads::new(0))),
+        "threads" => Ok(("threads", FixedThreads::new(0))),
         other => match other.split_once(':') {
             Some(("threads", p)) => {
                 let threads: usize = p.parse().map_err(|_| format!("bad thread count '{p}'"))?;
-                Ok(Policy::Threads(threads))
+                Ok(("threads", FixedThreads::new(threads)))
             }
             _ => Err(format!(
                 "unknown policy '{other}' (serial|rayon|threads[:P])"
@@ -58,31 +52,10 @@ fn load_seq_db(flags: &Flags) -> Result<SeqDb, String> {
     Ok(SeqDb::from_events(raw))
 }
 
-fn run_policy(
-    db: &SeqDb,
-    minsup: MinSupport,
-    cfg: &SeqConfig,
-    policy: &Policy,
-) -> (FrequentSequences, MiningStats) {
-    let mut meter = OpMeter::new();
-    match policy {
-        Policy::Serial => mine_stats(db, minsup, cfg, &mut meter, &Serial, "sequential"),
-        Policy::Rayon => mine_stats(db, minsup, cfg, &mut meter, &Rayon, "rayon"),
-        Policy::Threads(p) => mine_stats(
-            db,
-            minsup,
-            cfg,
-            &mut meter,
-            &FixedThreads::new(*p),
-            "threads",
-        ),
-    }
-}
-
 pub(crate) fn cmd_seq(flags: &Flags) -> Result<String, String> {
     let db = load_seq_db(flags)?;
     let minsup = support_of(flags)?;
-    let policy = policy_of(flags)?;
+    let (variant, policy) = policy_of(flags)?;
     let maxlen: Option<u32> = flags
         .get("maxlen")
         .map(str::parse)
@@ -100,7 +73,7 @@ pub(crate) fn cmd_seq(flags: &Flags) -> Result<String, String> {
         ..SeqConfig::default()
     };
     let t0 = std::time::Instant::now();
-    let (fs, mining) = run_policy(&db, minsup, &cfg, &policy);
+    let (fs, mining) = mine_stats(&db, minsup, &cfg, &mut OpMeter::new(), &policy, variant);
     let dt = t0.elapsed().as_secs_f64();
 
     let verified = if flags.has("verify") {

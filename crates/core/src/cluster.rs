@@ -23,7 +23,7 @@
 
 use crate::compute::EclatConfig;
 use crate::equivalence::classes_of_l2;
-use crate::pipeline;
+use crate::pipeline::{self, ExecutionPolicy, Serial};
 use crate::schedule::{schedule_l2, Assignment};
 use crate::transform::{build_pair_tidlists, count_items, count_pairs, index_pairs};
 use dbstore::{BlockPartition, HorizontalDb};
@@ -257,8 +257,16 @@ pub fn mine_cluster(
             .into_iter()
             .map(|(s, l)| (pairs_only[s].0, pairs_only[s].1, l))
             .collect();
-        let (local, class_stats) =
-            pipeline::mine_classes(classes_of_l2(pairs_with_lists), threshold, cfg, &mut meter);
+        let mut local = FrequentSet::new();
+        let mut class_stats = Vec::new();
+        Serial.mine_classes(
+            classes_of_l2(pairs_with_lists),
+            threshold,
+            cfg,
+            &mut meter,
+            &mut local,
+            &mut class_stats,
+        );
         rec.compute(&meter);
         async_ops.merge(&meter);
         for cs in class_stats {

@@ -20,6 +20,7 @@
 
 use crate::compute::EclatConfig;
 use crate::equivalence::classes_of_l2;
+use crate::pipeline::{ExecutionPolicy, Serial};
 use crate::schedule::{schedule_weights, shard_classes, Assignment};
 use crate::transform::{build_pair_tidlists, count_pairs, index_pairs};
 use dbstore::{BlockPartition, HorizontalDb};
@@ -270,8 +271,16 @@ pub fn mine_hybrid(
                 rec.disk_read(bytes);
             }
             let mut meter = OpMeter::new();
-            let (local_out, class_stats) =
-                crate::pipeline::mine_classes(my_classes, threshold, cfg, &mut meter);
+            let mut local_out = FrequentSet::new();
+            let mut class_stats = Vec::new();
+            Serial.mine_classes(
+                my_classes,
+                threshold,
+                cfg,
+                &mut meter,
+                &mut local_out,
+                &mut class_stats,
+            );
             rec.compute(&meter);
             async_ops.merge(&meter);
             for cs in class_stats {

@@ -18,9 +18,9 @@
 //! * [`sequential`] — the pipeline under the single-processor
 //!   [`pipeline::Serial`] policy (§5, specialized to one processor);
 //! * [`parallel`] — the pipeline under the shared-memory
-//!   [`pipeline::Rayon`] policy: classes are independent (§4.1), so they
-//!   become rayon tasks — the API a downstream user wants on a modern
-//!   multicore box;
+//!   [`pipeline::Rayon`] policy: classes are independent (§4.1), so the
+//!   greedy class schedule shards them over one thread per core — the API
+//!   a downstream user wants on a modern multicore box;
 //! * [`cluster`] — the paper's distributed algorithm, phase for phase
 //!   (Figure 2: initialization / transformation / asynchronous / final
 //!   reduction), composing the pipeline's phase helpers around the
@@ -38,20 +38,17 @@
 //!
 //! Supporting modules: [`equivalence`] (prefix-class partitioning, §4.1,
 //! generic over the representation), [`schedule`] (greedy least-loaded
-//! class scheduling with `C(s,2)` weights, §5.2.1), [`executor`] (the
-//! [`TaskExecutor`] face of the three policies — weighted independent
-//! tasks in task order, reused by the `eclat-seq` sequence miner),
-//! [`transform`]
-//! (horizontal → vertical transformation with §6.3's offset placement),
-//! and [`diffset_mine`] (the d-Eclat entry point — a thin wrapper over
-//! the generic kernel at [`compute::Representation::Diffset`]).
+//! class scheduling with `C(s,2)` weights, §5.2.1), and [`transform`]
+//! (horizontal → vertical transformation with §6.3's offset placement).
+//! [`pipeline::ExecutionPolicy`] is the one executor: a thread count with
+//! class mining, pair counting and generic weighted tasks
+//! ([`pipeline::ExecutionPolicy::run_tasks`], reused by the `eclat-seq`
+//! sequence miner) on top of it.
 
 pub mod clique;
 pub mod cluster;
 pub mod compute;
-pub mod diffset_mine;
 pub mod equivalence;
-pub mod executor;
 pub mod hybrid;
 pub mod maximal;
 pub mod parallel;
@@ -61,5 +58,4 @@ pub mod sequential;
 pub mod transform;
 
 pub use compute::{EclatConfig, Representation, DEFAULT_DENSITY_PERMILLE};
-pub use executor::TaskExecutor;
 pub use schedule::ScheduleHeuristic;

@@ -1,27 +1,28 @@
-//! Shared-memory parallel Eclat on rayon.
+//! Shared-memory parallel Eclat on every core.
 //!
 //! The paper's central observation — equivalence classes are independent
 //! (§4.1) — maps directly onto task parallelism: after the sequential
-//! transformation pass, every class is mined as its own rayon task and
-//! the per-task results are merged. This is the variant a downstream user
-//! runs on a modern multicore machine; the [`crate::cluster`] variant is
-//! the paper's 1997 message-passing algorithm under the simulated cost
-//! model.
+//! transformation pass, the classes are split over the threads by the
+//! §5.2.1 greedy least-loaded `C(s,2)` schedule and the per-thread results
+//! are merged. This is the variant a downstream user runs on a modern
+//! multicore machine; the [`crate::cluster`] variant is the paper's 1997
+//! message-passing algorithm under the simulated cost model.
 //!
 //! The implementation is the shared three-phase [`pipeline`] under the
-//! [`Rayon`] execution policy: blocked map-reduce counting in phase 1
-//! (each task counts a transaction block into a private triangular
-//! matrix — the shared-memory analogue of the paper's per-processor
-//! partial counts plus sum-reduction), one task per equivalence class in
-//! phase 3. Per-task operation meters are merged into the caller's
-//! meter, so a parallel run reports the same counts as a serial one.
+//! [`Rayon`] execution policy (one thread per available core): blocked
+//! counting in phase 1 (each thread counts a transaction block into a
+//! private triangular matrix — the shared-memory analogue of the paper's
+//! per-processor partial counts plus sum-reduction), one greedy class
+//! shard per thread in phase 3. Per-thread operation meters are merged
+//! into the caller's meter, so a parallel run reports the same counts as
+//! a serial one.
 
 use crate::compute::EclatConfig;
 use crate::pipeline::{self, Rayon};
 use dbstore::HorizontalDb;
 use mining_types::{FrequentSet, MinSupport, OpMeter};
 
-/// Mine frequent itemsets (size ≥ 2) using all rayon threads.
+/// Mine frequent itemsets (size ≥ 2) on every available core.
 pub fn mine(db: &HorizontalDb, minsup: MinSupport) -> FrequentSet {
     let mut meter = OpMeter::new();
     mine_with(db, minsup, &EclatConfig::default(), &mut meter)
@@ -29,8 +30,8 @@ pub fn mine(db: &HorizontalDb, minsup: MinSupport) -> FrequentSet {
 
 /// Mine with explicit configuration and metering.
 ///
-/// Work done inside rayon tasks (block counting, per-class mining) is
-/// metered into task-local meters and merged into `meter`, so the counts
+/// Work done on the pipeline's threads (block counting, per-class mining)
+/// is metered into thread-local meters and merged into `meter`, so the counts
 /// are comparable with [`crate::sequential::mine_with`].
 pub fn mine_with(
     db: &HorizontalDb,
@@ -42,8 +43,8 @@ pub fn mine_with(
 }
 
 /// [`mine_with`] that also returns the structured [`mining_types::MiningStats`] report.
-/// The vendored rayon preserves class order on collect, so the stats are
-/// identical to a sequential run's (wall-clock seconds aside).
+/// Class stats come back in class order, so the stats are identical to a
+/// sequential run's (wall-clock seconds aside).
 pub fn mine_stats(
     db: &HorizontalDb,
     minsup: MinSupport,
@@ -104,7 +105,7 @@ mod tests {
 
     #[test]
     fn per_task_meters_are_merged_into_the_caller() {
-        // Regression: the per-task meters (block counting, transform,
+        // Regression: the per-thread meters (block counting, transform,
         // per-class mining) used to be discarded, leaving the caller
         // blind. The merged meter must match a serial run's counts.
         let db = random_db(4, 250, 12, 6);

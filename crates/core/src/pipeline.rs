@@ -16,20 +16,24 @@
 //!    [`mine_class`]) — per-class recursive mining (§5.3), dispatched to
 //!    the representation picked by [`EclatConfig::representation`].
 //!
-//! [`run`] composes the phases under an [`ExecutionPolicy`]: [`Serial`]
-//! reproduces the sequential algorithm, [`Rayon`] the shared-memory one.
-//! The cluster and hybrid variants interleave the phases with the
-//! simulated communication/cost model, so they call the phase helpers
-//! directly instead of [`run`] — but their per-class mining is the same
-//! [`mine_classes`] used here, representation dispatch included.
+//! [`run`] composes the phases under an [`ExecutionPolicy`], which is
+//! nothing but a thread count: [`Serial`] reproduces the sequential
+//! algorithm, [`Rayon`] and [`FixedThreads`] the shared-memory one on the
+//! greedy class shards. The cluster and hybrid variants interleave the
+//! phases with the simulated communication/cost model, so they call the
+//! phase helpers directly instead of [`run`] — but their per-class mining
+//! is the same `Serial.mine_classes` used here, representation dispatch
+//! included.
 
 use crate::compute::{compute_frequent_stats, EclatConfig, Representation};
 use crate::equivalence::{classes_of_l2, ClassMember, EquivalenceClass};
+use crate::schedule::{schedule_weights, shard_classes, ScheduleHeuristic};
 use crate::transform::{build_pair_tidlists, count_items, count_pairs, index_pairs};
 use dbstore::HorizontalDb;
 use mining_types::stats::{ClassStats, KernelStats, MiningStats, PhaseStats};
 use mining_types::{FrequentSet, ItemId, Itemset, MinSupport, OpMeter, TriangleMatrix};
-use rayon::prelude::*;
+use std::ops::Range;
+use std::sync::Mutex;
 use std::time::Instant;
 use tidlist::{AdaptiveSet, BitmapSet, ChunkedList, GallopList};
 
@@ -42,38 +46,43 @@ pub const PHASE_ASYNC: &str = "async";
 /// Trace/stats label of the final result reduction (cluster variants).
 pub const PHASE_REDUCE: &str = "reduce";
 
-/// How the phases map onto compute resources. The policy owns the two
-/// parallelizable steps; everything else is inherently ordered (the
-/// vertical transform must preserve tid order).
+/// How the phases map onto compute resources: a thread count. Every other
+/// method is provided on top of [`ExecutionPolicy::threads`] and one
+/// scoped-thread helper in which the calling thread works the first shard
+/// and only the other `P − 1` shards get spawned threads, so a one-thread
+/// policy spawns nothing. Results come back in input order whatever the
+/// schedule, and per-thread meters merge into the caller's, so every
+/// thread count reports a serial run's output and operation counts.
 pub trait ExecutionPolicy {
+    /// Threads the policy runs on (at least 1).
+    fn threads(&self) -> usize;
+
     /// Phase 1: triangular counts of all 2-itemsets over the whole
-    /// database. All counting work must be merged into `meter`.
-    fn count_pairs(&self, db: &HorizontalDb, meter: &mut OpMeter) -> TriangleMatrix;
+    /// database, one contiguous transaction block per thread; the partial
+    /// triangles sum-merge (the reduction the cluster variants perform
+    /// across processors). All counting work is merged into `meter`.
+    fn count_pairs(&self, db: &HorizontalDb, meter: &mut OpMeter) -> TriangleMatrix {
+        let blocks = blocks(0..db.num_transactions(), self.threads());
+        let mut parts = on_threads(blocks, |r| {
+            let mut m = OpMeter::new();
+            (count_pairs(db, r, &mut m), m)
+        })
+        .into_iter();
+        let (mut tri, m) = parts.next().expect("at least one block");
+        meter.merge(&m);
+        for (t, m) in parts {
+            tri.merge_from(&t);
+            meter.merge(&m);
+        }
+        tri
+    }
 
     /// Phase 3: mine every `L2` class (members are recorded too), merging
-    /// all per-task metering into `meter`, all results into `out`, and
-    /// appending one [`ClassStats`] per class to `stats` in class order
-    /// (the vendored rayon's collect preserves input order, so parallel
-    /// stats line up with serial ones).
-    fn mine_classes(
-        &self,
-        classes: Vec<EquivalenceClass>,
-        threshold: u32,
-        cfg: &EclatConfig,
-        meter: &mut OpMeter,
-        out: &mut FrequentSet,
-        stats: &mut Vec<ClassStats>,
-    );
-}
-
-/// Single-threaded execution — the paper's algorithm on one processor.
-pub struct Serial;
-
-impl ExecutionPolicy for Serial {
-    fn count_pairs(&self, db: &HorizontalDb, meter: &mut OpMeter) -> TriangleMatrix {
-        count_pairs(db, 0..db.num_transactions(), meter)
-    }
-
+    /// all per-thread metering into `meter`, all results into `out`, and
+    /// appending one [`ClassStats`] per class to `stats` in class order.
+    /// One thread mines each class straight into `out`; more threads split
+    /// the classes by the §5.2.1 greedy `C(s,2)` rule
+    /// ([`shard_classes`]) and mine the shards through [`mine_shards`].
     fn mine_classes(
         &self,
         classes: Vec<EquivalenceClass>,
@@ -83,226 +92,178 @@ impl ExecutionPolicy for Serial {
         out: &mut FrequentSet,
         stats: &mut Vec<ClassStats>,
     ) {
-        for (i, class) in classes.into_iter().enumerate() {
-            let _span = eclat_obs::trace::span_arg("class", i as u64);
-            stats.push(mine_class(class, threshold, cfg, meter, out));
-        }
-    }
-}
-
-/// Shared-memory execution on rayon: blocked counting in phase 1, one
-/// task per equivalence class in phase 3 (classes are independent, §4.1).
-/// Per-task meters are merged into the caller's meter, so parallel runs
-/// report the same operation counts as serial ones.
-pub struct Rayon;
-
-impl ExecutionPolicy for Rayon {
-    fn count_pairs(&self, db: &HorizontalDb, meter: &mut OpMeter) -> TriangleMatrix {
-        let n = db.num_transactions();
-        let block = (n / rayon::current_num_threads().max(1))
-            .max(1024)
-            .min(n.max(1));
-        let blocks: Vec<std::ops::Range<usize>> = (0..n)
-            .step_by(block)
-            .map(|s| s..(s + block).min(n))
-            .collect();
-        let counted = blocks
-            .par_iter()
-            .map(|r| {
-                let mut m = OpMeter::new();
-                let tri = count_pairs(db, r.clone(), &mut m);
-                (tri, m)
-            })
-            .reduce_with(|(mut tri_a, mut m_a), (tri_b, m_b)| {
-                tri_a.merge_from(&tri_b);
-                m_a.merge(&m_b);
-                (tri_a, m_a)
-            });
-        match counted {
-            Some((tri, m)) => {
-                meter.merge(&m);
-                tri
-            }
-            None => count_pairs(db, 0..0, meter), // empty database
-        }
-    }
-
-    fn mine_classes(
-        &self,
-        classes: Vec<EquivalenceClass>,
-        threshold: u32,
-        cfg: &EclatConfig,
-        meter: &mut OpMeter,
-        out: &mut FrequentSet,
-        stats: &mut Vec<ClassStats>,
-    ) {
-        let indexed: Vec<(usize, EquivalenceClass)> = classes.into_iter().enumerate().collect();
-        let partials: Vec<(FrequentSet, OpMeter, ClassStats)> = indexed
-            .into_par_iter()
-            .map(|(i, class)| {
+        if self.threads() == 1 {
+            for (i, class) in classes.into_iter().enumerate() {
                 let _span = eclat_obs::trace::span_arg("class", i as u64);
-                let mut local = FrequentSet::new();
-                let mut m = OpMeter::new();
-                let cs = mine_class(class, threshold, cfg, &mut m, &mut local);
-                (local, m, cs)
-            })
-            .collect();
-        for (p, m, cs) in partials {
-            out.merge(p);
-            meter.merge(&m);
-            stats.push(cs);
+                stats.push(mine_class(class, threshold, cfg, meter, out));
+            }
+            return;
         }
-    }
-}
-
-/// Shared-memory execution on exactly `P` scoped OS threads — the shape
-/// a cluster *host* takes in the paper's hybrid model (§8.1): the host
-/// owns a set of scheduled classes and its local processors share them.
-/// Unlike [`Rayon`] (which sizes its pool from the machine), the thread
-/// count is explicit, so a distributed worker can be told to act as a
-/// P-processor host. Classes are split over the threads by the same LPT
-/// cost model the cross-host schedule uses
-/// ([`crate::schedule::shard_classes`]); per-thread meters are merged, so
-/// operation counts match serial runs exactly.
-pub struct FixedThreads {
-    threads: usize,
-}
-
-impl FixedThreads {
-    /// A policy running on `threads` OS threads (`0` and `1` both mean
-    /// single-threaded).
-    pub fn new(threads: usize) -> FixedThreads {
-        FixedThreads {
-            threads: threads.max(1),
-        }
-    }
-
-    /// The configured thread count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-}
-
-impl ExecutionPolicy for FixedThreads {
-    fn count_pairs(&self, db: &HorizontalDb, meter: &mut OpMeter) -> TriangleMatrix {
-        count_pairs_blocked(db, self.threads, meter)
-    }
-
-    fn mine_classes(
-        &self,
-        classes: Vec<EquivalenceClass>,
-        threshold: u32,
-        cfg: &EclatConfig,
-        meter: &mut OpMeter,
-        out: &mut FrequentSet,
-        stats: &mut Vec<ClassStats>,
-    ) {
-        let shards = crate::schedule::shard_classes(&classes, self.threads, cfg.heuristic);
-        let slots: Vec<std::sync::Mutex<Option<EquivalenceClass>>> = classes
-            .into_iter()
-            .map(|c| std::sync::Mutex::new(Some(c)))
-            .collect();
-        let fetch = |i: usize| {
-            Ok(slots[i]
-                .lock()
-                .expect("class slot poisoned")
-                .take()
-                .expect("each class is fetched exactly once"))
-        };
+        let shards = shard_classes(&classes, self.threads(), cfg.heuristic);
+        let slots = slots(classes);
+        let fetch = |i: usize| Ok(take(&slots[i]));
         let reports = mine_shards(&shards, &fetch, threshold, cfg, out, stats)
             .expect("in-memory fetch cannot fail");
         for r in &reports {
             meter.merge(&r.ops);
         }
     }
-}
 
-/// Phase 1 on `threads` scoped OS threads: split the transaction range
-/// into contiguous blocks, count each block on its own thread, and merge
-/// the partial triangles (sum of partial counts — the same reduction the
-/// cluster variants perform across processors). Per-block meters are
-/// merged into `meter`, so counts equal the serial pass.
-pub fn count_pairs_blocked(
-    db: &HorizontalDb,
-    threads: usize,
-    meter: &mut OpMeter,
-) -> TriangleMatrix {
-    let n = db.num_transactions();
-    let threads = threads.max(1);
-    if threads == 1 || n < 2 * threads {
-        return count_pairs(db, 0..n, meter);
-    }
-    let chunk = n.div_ceil(threads);
-    let ranges: Vec<std::ops::Range<usize>> = (0..n)
-        .step_by(chunk)
-        .map(|s| s..(s + chunk).min(n))
-        .collect();
-    let partials: Vec<(TriangleMatrix, OpMeter)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .into_iter()
-            .map(|r| {
-                scope.spawn(move || {
-                    let mut m = OpMeter::new();
-                    (count_pairs(db, r, &mut m), m)
-                })
-            })
+    /// Run independent tasks and return their results in task order;
+    /// `f(i, task)` receives the task's index. The tasks are split over
+    /// the threads by `heuristic` on `weights` (`weights[i]` is the
+    /// §5.2.1 load estimate of `tasks[i]`).
+    fn run_tasks<T, R, F>(
+        &self,
+        tasks: Vec<T>,
+        weights: &[u64],
+        heuristic: ScheduleHeuristic,
+        f: F,
+    ) -> Vec<R>
+    where
+        Self: Sized,
+        T: Send,
+        R: Send,
+        F: Fn(usize, T) -> R + Sync,
+    {
+        assert_eq!(
+            tasks.len(),
+            weights.len(),
+            "one weight per task (got {} tasks, {} weights)",
+            tasks.len(),
+            weights.len()
+        );
+        let assignment = schedule_weights(weights, self.threads(), heuristic);
+        let shards: Vec<Vec<usize>> = (0..self.threads())
+            .map(|p| assignment.classes_of(p))
             .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("counting thread panicked"))
-            .collect()
-    });
-    let mut iter = partials.into_iter();
-    let (mut tri, m) = iter.next().expect("at least one block");
-    meter.merge(&m);
-    for (t, m) in iter {
-        tri.merge_from(&t);
-        meter.merge(&m);
+        let slots = slots(tasks);
+        let mut tagged: Vec<(usize, R)> = on_threads(shards, |ids| {
+            ids.into_iter()
+                .map(|i| (i, f(i, take(&slots[i]))))
+                .collect::<Vec<_>>()
+        })
+        .into_iter()
+        .flatten()
+        .collect();
+        tagged.sort_by_key(|&(i, _)| i);
+        tagged.into_iter().map(|(_, r)| r).collect()
     }
-    tri
 }
 
-/// Phase 2's tid-list construction on `threads` scoped OS threads: each
-/// thread scans a contiguous sub-range of `range` (ascending tids), then
-/// the per-slot partial lists are stitched in sub-range order — the
+/// One thread — the paper's algorithm on one processor. Nothing is
+/// spawned; every class is mined straight into the caller's result set.
+pub struct Serial;
+
+impl ExecutionPolicy for Serial {
+    fn threads(&self) -> usize {
+        1
+    }
+}
+
+/// One thread per available core — the shared-memory variant on a
+/// multicore machine; the same policy as `FixedThreads::new(0)`.
+pub struct Rayon;
+
+impl ExecutionPolicy for Rayon {
+    fn threads(&self) -> usize {
+        all_cores()
+    }
+}
+
+/// Exactly `P` threads — the shape a cluster *host* takes in the paper's
+/// hybrid model (§8.1): the host owns a set of scheduled classes and its
+/// local processors share them, so a distributed worker can be told to
+/// act as a P-processor host.
+pub struct FixedThreads {
+    threads: usize,
+}
+
+impl FixedThreads {
+    /// A policy running on `threads` threads; `0` means one per
+    /// available core, as [`Rayon`].
+    pub fn new(threads: usize) -> FixedThreads {
+        FixedThreads {
+            threads: if threads == 0 { all_cores() } else { threads },
+        }
+    }
+}
+
+impl ExecutionPolicy for FixedThreads {
+    fn threads(&self) -> usize {
+        self.threads
+    }
+}
+
+fn all_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// Run `work` on every input: the calling thread works `inputs[0]`, one
+/// scoped thread each of the others. Results come back in input order.
+fn on_threads<I: Send, R: Send>(inputs: Vec<I>, work: impl Fn(I) -> R + Sync) -> Vec<R> {
+    let mut inputs = inputs.into_iter();
+    let Some(first) = inputs.next() else {
+        return Vec::new();
+    };
+    let work = &work;
+    std::thread::scope(|scope| {
+        let spawned: Vec<_> = inputs.map(|i| scope.spawn(move || work(i))).collect();
+        let mut results = Vec::with_capacity(spawned.len() + 1);
+        results.push(work(first));
+        for h in spawned {
+            results.push(h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
+        }
+        results
+    })
+}
+
+/// Split `range` into one contiguous block per thread — a single block
+/// when it is too short to give every thread two transactions.
+fn blocks(range: Range<usize>, threads: usize) -> Vec<Range<usize>> {
+    if threads <= 1 || range.len() < 2 * threads {
+        return vec![range];
+    }
+    let chunk = range.len().div_ceil(threads);
+    let end = range.end;
+    range
+        .step_by(chunk)
+        .map(|s| s..(s + chunk).min(end))
+        .collect()
+}
+
+/// One slot per item, so each shard's thread takes its own items by index.
+fn slots<T>(items: Vec<T>) -> Vec<Mutex<Option<T>>> {
+    items.into_iter().map(|t| Mutex::new(Some(t))).collect()
+}
+
+fn take<T>(slot: &Mutex<Option<T>>) -> T {
+    slot.lock()
+        .expect("slot poisoned")
+        .take()
+        .expect("each item is taken exactly once")
+}
+
+/// Phase 2's tid-list construction on `threads` threads: each thread
+/// scans a contiguous sub-range of `range` (ascending tids), then the
+/// per-slot partial lists are stitched in sub-range order — the
 /// intra-host variant of the §6.3 offset placement, so every list comes
 /// out identical to a serial scan. Meters merge to the serial counts.
 pub fn build_pair_tidlists_blocked(
     db: &HorizontalDb,
-    range: std::ops::Range<usize>,
+    range: Range<usize>,
     idx: &mining_types::FxHashMap<(ItemId, ItemId), usize>,
     threads: usize,
     meter: &mut OpMeter,
 ) -> Vec<tidlist::TidList> {
-    let n = range.len();
-    let threads = threads.max(1);
-    if threads == 1 || n < 2 * threads {
-        return build_pair_tidlists(db, range, idx, meter);
-    }
-    let chunk = n.div_ceil(threads);
-    let ranges: Vec<std::ops::Range<usize>> = (0..n)
-        .step_by(chunk)
-        .map(|s| range.start + s..range.start + (s + chunk).min(n))
-        .collect();
-    let partials: Vec<(Vec<tidlist::TidList>, OpMeter)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .into_iter()
-            .map(|r| {
-                scope.spawn(move || {
-                    let mut m = OpMeter::new();
-                    (build_pair_tidlists(db, r, idx, &mut m), m)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("transform thread panicked"))
-            .collect()
-    });
-    let mut iter = partials.into_iter();
-    let (mut lists, m) = iter.next().expect("at least one block");
+    let mut parts = on_threads(blocks(range, threads), |r| {
+        let mut m = OpMeter::new();
+        (build_pair_tidlists(db, r, idx, &mut m), m)
+    })
+    .into_iter();
+    let (mut lists, m) = parts.next().expect("at least one block");
     meter.merge(&m);
-    for (part, m) in iter {
+    for (part, m) in parts {
         meter.merge(&m);
         for (slot, p) in part.into_iter().enumerate() {
             lists[slot].append_partial(&p);
@@ -325,16 +286,16 @@ pub struct ThreadReport {
 }
 
 /// Phase 3 across explicit per-thread shards with a pluggable class
-/// source — the execution core shared by [`FixedThreads`] (in-memory)
-/// and the distributed worker's out-of-core path (classes faulted back
-/// from a spill store).
+/// source — the execution core shared by [`ExecutionPolicy::mine_classes`]
+/// (in-memory) and the distributed worker's out-of-core path (classes
+/// faulted back from a spill store).
 ///
-/// `shards[t]` holds the class indices thread `t` mines; `fetch(i)`
-/// materialises class `i` (the wall-clock it takes — lock wait plus any
-/// disk fault — is accounted to that thread's `fetch_secs`). Results
-/// merge into `out`; per-class stats land in `stats` in ascending
-/// class-index order (= class order, matching the serial pipeline); the
-/// returned reports are indexed by thread.
+/// `shards[t]` holds the class indices thread `t` mines (the caller mines
+/// `shards[0]`); `fetch(i)` materialises class `i` (the wall-clock it
+/// takes — lock wait plus any disk fault — is accounted to that thread's
+/// `fetch_secs`). Results merge into `out`; per-class stats land in
+/// `stats` in ascending class-index order (= class order, matching the
+/// serial pipeline); the returned reports are indexed by thread.
 ///
 /// # Errors
 /// The first `fetch` error aborts that thread's shard and is returned.
@@ -350,37 +311,28 @@ where
     F: Fn(usize) -> Result<EquivalenceClass, String> + Sync,
 {
     type ShardOut = Result<(FrequentSet, Vec<(usize, ClassStats)>, ThreadReport), String>;
-    let results: Vec<ShardOut> = std::thread::scope(|scope| {
-        let handles: Vec<_> = shards
-            .iter()
-            .enumerate()
-            .map(|(t, ids)| {
-                scope.spawn(move || -> ShardOut {
-                    let _shard_span = eclat_obs::trace::span_arg("mine:shard", t as u64);
-                    let mut local = FrequentSet::new();
-                    let mut tagged = Vec::with_capacity(ids.len());
-                    let mut rep = ThreadReport::default();
-                    for &i in ids {
-                        let t_fetch = Instant::now();
-                        let class = fetch(i)?;
-                        rep.fetch_secs += t_fetch.elapsed().as_secs_f64();
-                        let _class_span = eclat_obs::trace::span_arg("class", i as u64);
-                        let t_mine = Instant::now();
-                        tagged.push((
-                            i,
-                            mine_class(class, threshold, cfg, &mut rep.ops, &mut local),
-                        ));
-                        rep.compute_secs += t_mine.elapsed().as_secs_f64();
-                    }
-                    Ok((local, tagged, rep))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("mining thread panicked"))
-            .collect()
-    });
+    let results = on_threads(
+        shards.iter().enumerate().collect(),
+        |(t, ids)| -> ShardOut {
+            let _shard_span = eclat_obs::trace::span_arg("mine:shard", t as u64);
+            let mut local = FrequentSet::new();
+            let mut tagged = Vec::with_capacity(ids.len());
+            let mut rep = ThreadReport::default();
+            for &i in ids {
+                let t_fetch = Instant::now();
+                let class = fetch(i)?;
+                rep.fetch_secs += t_fetch.elapsed().as_secs_f64();
+                let _class_span = eclat_obs::trace::span_arg("class", i as u64);
+                let t_mine = Instant::now();
+                tagged.push((
+                    i,
+                    mine_class(class, threshold, cfg, &mut rep.ops, &mut local),
+                ));
+                rep.compute_secs += t_mine.elapsed().as_secs_f64();
+            }
+            Ok((local, tagged, rep))
+        },
+    );
     let mut reports = Vec::with_capacity(shards.len());
     let mut all_tagged: Vec<(usize, ClassStats)> = Vec::new();
     for r in results {
@@ -459,23 +411,6 @@ pub fn mine_class(
     };
     compute_class_stats(class, threshold, cfg, meter, out, &mut stats.kernel);
     stats
-}
-
-/// Phase 3 for a batch of classes into a fresh result set — the shape the
-/// cluster/hybrid per-processor loops want. Returns the results plus one
-/// [`ClassStats`] per class, in class order.
-pub fn mine_classes(
-    classes: Vec<EquivalenceClass>,
-    threshold: u32,
-    cfg: &EclatConfig,
-    meter: &mut OpMeter,
-) -> (FrequentSet, Vec<ClassStats>) {
-    let mut out = FrequentSet::new();
-    let mut stats = Vec::with_capacity(classes.len());
-    for class in classes {
-        stats.push(mine_class(class, threshold, cfg, meter, &mut out));
-    }
-    (out, stats)
 }
 
 /// Run the recursive kernel on a tid-list `L2` class, dispatching on
@@ -726,6 +661,8 @@ pub fn run_stats(
 mod tests {
     use super::*;
     use apriori::reference::random_db;
+    use std::collections::HashSet;
+    use std::thread::{current, ThreadId};
 
     #[test]
     fn serial_and_rayon_policies_agree() {
@@ -757,7 +694,104 @@ mod tests {
             // Merged per-thread meters must equal the serial counts.
             assert_eq!(m, m_serial, "P={p}");
         }
-        assert_eq!(FixedThreads::new(0).threads(), 1, "0 means single-threaded");
+        assert_eq!(
+            FixedThreads::new(0).threads(),
+            Rayon.threads(),
+            "0 means every core"
+        );
+    }
+
+    fn square_all(policy: &impl ExecutionPolicy, n: u64) -> Vec<u64> {
+        let tasks: Vec<u64> = (0..n).collect();
+        let weights: Vec<u64> = tasks.iter().map(|&t| t + 1).collect();
+        policy.run_tasks(tasks, &weights, ScheduleHeuristic::GreedyPairs, |i, t| {
+            assert_eq!(i as u64, t, "task index lines up with the task");
+            t * t
+        })
+    }
+
+    #[test]
+    fn all_policies_preserve_task_order() {
+        let expect: Vec<u64> = (0..37).map(|t| t * t).collect();
+        assert_eq!(square_all(&Serial, 37), expect);
+        assert_eq!(square_all(&Rayon, 37), expect);
+        for p in [1, 2, 3, 8] {
+            assert_eq!(square_all(&FixedThreads::new(p), 37), expect, "P={p}");
+        }
+        assert!(square_all(&Serial, 0).is_empty());
+        assert!(square_all(&FixedThreads::new(4), 0).is_empty());
+    }
+
+    #[test]
+    fn fixed_threads_runs_every_task_once() {
+        let counter = std::sync::atomic::AtomicU64::new(0);
+        let tasks: Vec<u64> = (0..100).collect();
+        let weights = vec![1u64; 100];
+        let out = FixedThreads::new(7).run_tasks(
+            tasks,
+            &weights,
+            ScheduleHeuristic::RoundRobin,
+            |_, t| {
+                counter.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                t
+            },
+        );
+        assert_eq!(out, (0..100).collect::<Vec<u64>>());
+        assert_eq!(counter.load(std::sync::atomic::Ordering::Relaxed), 100);
+    }
+
+    fn task_threads(policy: &impl ExecutionPolicy, weights: &[u64]) -> Vec<ThreadId> {
+        let tasks = vec![(); weights.len()];
+        policy.run_tasks(tasks, weights, ScheduleHeuristic::GreedyPairs, |_, ()| {
+            current().id()
+        })
+    }
+
+    #[test]
+    fn caller_thread_works_the_first_shard() {
+        let caller = current().id();
+        let weights = [5u64, 1, 4, 2, 3, 1];
+        // One thread: every task runs on the caller, nothing is spawned.
+        for ids in [
+            task_threads(&Serial, &weights),
+            task_threads(&FixedThreads::new(1), &weights),
+        ] {
+            assert!(ids.iter().all(|&id| id == caller));
+        }
+
+        // Two threads: exactly the first greedy shard runs on the caller,
+        // the other on one spawned thread.
+        let ids = task_threads(&FixedThreads::new(2), &weights);
+        let first = schedule_weights(&weights, 2, ScheduleHeuristic::GreedyPairs).classes_of(0);
+        for (i, &id) in ids.iter().enumerate() {
+            assert_eq!(id == caller, first.contains(&i), "task {i}");
+        }
+        let spawned: HashSet<_> = ids.iter().filter(|&&id| id != caller).collect();
+        assert_eq!(spawned.len(), 1);
+
+        // Classes too: a class is fetched on the thread that mines it.
+        let fetched = Mutex::new(Vec::new());
+        let fetch = |i: usize| {
+            fetched.lock().unwrap().push((i, current().id()));
+            Ok(EquivalenceClass {
+                prefix: Itemset::of(&[i as u32]),
+                members: vec![],
+            })
+        };
+        let shards = [vec![0usize, 2], vec![1]];
+        let cfg = EclatConfig::default();
+        mine_shards(
+            &shards,
+            &fetch,
+            1,
+            &cfg,
+            &mut FrequentSet::new(),
+            &mut Vec::new(),
+        )
+        .unwrap();
+        for (i, id) in fetched.into_inner().unwrap() {
+            assert_eq!(id == caller, shards[0].contains(&i), "class {i}");
+        }
     }
 
     #[test]
@@ -821,27 +855,62 @@ mod tests {
 
     #[test]
     fn representations_agree_end_to_end() {
-        let db = random_db(23, 120, 10, 5);
-        let minsup = MinSupport::from_percent(8.0);
-        let base = run(
-            &db,
-            minsup,
-            &EclatConfig::default(),
-            &mut OpMeter::new(),
-            &Serial,
+        // A random database, and a dense correlated one where every
+        // transaction shares a core pattern, so deep tid-lists stay long
+        // while diffsets stay near-empty.
+        let dense = HorizontalDb::from_transactions(
+            (0..100u32)
+                .map(|i| {
+                    let mut t: Vec<ItemId> = (0..6).map(ItemId).collect();
+                    if i % 10 == 0 {
+                        t.push(ItemId(6 + (i / 10) % 3));
+                    }
+                    t
+                })
+                .collect(),
         );
-        for repr in [
-            Representation::Diffset,
-            Representation::AutoSwitch { depth: 1 },
-            Representation::AutoSwitch { depth: 3 },
-            Representation::Bitmap,
-            Representation::AutoDensity { permille: 8 },
-            Representation::AutoDensity { permille: 1000 },
-            Representation::AutoDensity { permille: 0 },
-        ] {
+        let inputs = [
+            (random_db(23, 120, 10, 5), MinSupport::from_percent(8.0)),
+            (dense, MinSupport::from_percent(50.0)),
+        ];
+        for (db, minsup) in &inputs {
+            let mut m_base = OpMeter::new();
+            let base = run(db, *minsup, &EclatConfig::default(), &mut m_base, &Serial);
+            for repr in [
+                Representation::Diffset,
+                Representation::AutoSwitch { depth: 1 },
+                Representation::AutoSwitch { depth: 3 },
+                Representation::Bitmap,
+                Representation::AutoDensity { permille: 8 },
+                Representation::AutoDensity { permille: 1000 },
+                Representation::AutoDensity { permille: 0 },
+            ] {
+                let cfg = EclatConfig::with_representation(repr);
+                let mut m = OpMeter::new();
+                let fs = run(db, *minsup, &cfg, &mut m, &Serial);
+                assert_eq!(fs, base, "{repr:?}");
+                // Every kernel walks the same candidate lattice.
+                assert_eq!(m.cand_gen, m_base.cand_gen, "{repr:?}");
+                if repr == Representation::Diffset && db.num_transactions() == 100 {
+                    assert!(
+                        m.tid_cmp < m_base.tid_cmp,
+                        "diffsets should touch fewer elements on dense data: {} vs {}",
+                        m.tid_cmp,
+                        m_base.tid_cmp
+                    );
+                }
+            }
+        }
+        // An empty class yields nothing under any representation.
+        for repr in [Representation::TidList, Representation::Diffset] {
+            let mut out = FrequentSet::new();
+            let empty = EquivalenceClass {
+                prefix: Itemset::of(&[0]),
+                members: vec![],
+            };
             let cfg = EclatConfig::with_representation(repr);
-            let fs = run(&db, minsup, &cfg, &mut OpMeter::new(), &Serial);
-            assert_eq!(fs, base, "{repr:?}");
+            compute_class(empty, 1, &cfg, &mut OpMeter::new(), &mut out);
+            assert!(out.is_empty(), "{repr:?}");
         }
     }
 

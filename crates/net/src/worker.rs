@@ -22,7 +22,7 @@ use crate::proto::{Message, WorkerStats, MAX_NET_FRAME, PROTOCOL_VERSION};
 use crate::NetError;
 use dbstore::{binfmt, SpillMetrics, SpillStore};
 use eclat::equivalence::{classes_of_l2, ClassMember, EquivalenceClass};
-use eclat::pipeline;
+use eclat::pipeline::{self, ExecutionPolicy, FixedThreads};
 use eclat::schedule::shard_classes;
 use eclat::transform::{count_items, index_pairs};
 use mining_types::{FrequentSet, ItemId, Itemset, OpMeter};
@@ -506,16 +506,6 @@ struct Session<'a> {
 }
 
 impl Session<'_> {
-    /// Resolve the configured thread count (`0` = one per core).
-    fn mining_threads(&self) -> usize {
-        match self.cfg.threads {
-            0 => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            n => n,
-        }
-    }
-
     /// Move `classes` into a budgeted [`SpillStore`] under a unique
     /// per-run directory; tid-lists beyond the budget go to disk, the
     /// per-class metadata stays resident.
@@ -620,10 +610,11 @@ impl Session<'_> {
         // over this host's P threads (partial triangles sum-merge, the
         // intra-host version of the coordinator's reduction).
         let span_init = eclat_obs::trace::span(crate::PHASE_INIT);
-        let threads = self.mining_threads();
+        let policy = FixedThreads::new(self.cfg.threads);
+        let threads = policy.threads();
         let t = Instant::now();
         let mut init_ops = OpMeter::new();
-        let tri = pipeline::count_pairs_blocked(&db, threads, &mut init_ops);
+        let tri = policy.count_pairs(&db, &mut init_ops);
         let items = if want_items {
             count_items(&db, 0..db.num_transactions(), &mut init_ops)
         } else {

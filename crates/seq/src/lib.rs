@@ -15,9 +15,9 @@
 //! * [`PairSet`] implements the `tidlist::TidSet` trait — the I-extension
 //!   *is* a `TidSet::join`, bounded/metered surface included — and adds
 //!   the inherent temporal-join family for S-extensions;
-//! * the three execution policies (`Serial`, `Rayon`, `FixedThreads`)
-//!   are reused through `eclat::executor::TaskExecutor`, so parallel
-//!   runs are byte-identical to serial ones, op counts included;
+//! * prefix classes run through the itemset pipeline's executor,
+//!   `eclat::pipeline::ExecutionPolicy::run_tasks`, so parallel runs are
+//!   byte-identical to serial ones, op counts included;
 //! * [`mine_stats`] emits the same [`mining_types::stats::MiningStats`]
 //!   shape as the itemset pipeline, with `algorithm = "spade"`.
 //!

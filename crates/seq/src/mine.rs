@@ -13,15 +13,15 @@
 //!    task joins the item lists into the class's 2-sequence members
 //!    (equality/temporal [`PairSet`] joins) and runs the recursive
 //!    kernel. Tasks are independent, so they run under any
-//!    [`TaskExecutor`] policy; results and meters merge in class order,
-//!    making Serial/Rayon/FixedThreads byte-identical.
+//!    [`ExecutionPolicy`] through its greedy weighted `run_tasks`; results
+//!    and meters merge in class order, so every thread count is
+//!    byte-identical.
 
 use crate::db::SeqDb;
 use crate::kernel::{class_weight, recurse, AtomKind, FrequentSequences, SeqConfig, SeqMember};
 use crate::pairset::PairSet;
 use crate::pattern::SeqPattern;
-use eclat::executor::TaskExecutor;
-use eclat::pipeline::{PHASE_ASYNC, PHASE_INIT, PHASE_TRANSFORM};
+use eclat::pipeline::{ExecutionPolicy, PHASE_ASYNC, PHASE_INIT, PHASE_TRANSFORM};
 use mining_types::stats::{ClassStats, KernelStats, MiningStats, PhaseStats};
 use mining_types::{ItemId, MinSupport, OpMeter};
 use std::time::Instant;
@@ -244,7 +244,7 @@ fn mine_class(
 }
 
 /// Mine `db` at `minsup` under `policy` with default settings.
-pub fn mine(db: &SeqDb, minsup: MinSupport, policy: &impl TaskExecutor) -> FrequentSequences {
+pub fn mine(db: &SeqDb, minsup: MinSupport, policy: &impl ExecutionPolicy) -> FrequentSequences {
     mine_with(
         db,
         minsup,
@@ -260,7 +260,7 @@ pub fn mine_with(
     minsup: MinSupport,
     cfg: &SeqConfig,
     meter: &mut OpMeter,
-    policy: &impl TaskExecutor,
+    policy: &impl ExecutionPolicy,
 ) -> FrequentSequences {
     mine_stats(db, minsup, cfg, meter, policy, "sequential").0
 }
@@ -273,7 +273,7 @@ pub fn mine_stats(
     minsup: MinSupport,
     cfg: &SeqConfig,
     meter: &mut OpMeter,
-    policy: &impl TaskExecutor,
+    policy: &impl ExecutionPolicy,
     variant: &str,
 ) -> (FrequentSequences, MiningStats) {
     let threshold = minsup.count_threshold(db.num_sequences()).max(1);

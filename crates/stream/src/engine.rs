@@ -223,10 +223,10 @@ impl StreamEngine {
     /// same way [`HorizontalDb::from_transactions`] normalizes, so the
     /// incremental state tracks a full re-mine of the concatenated
     /// prefix. Returns the per-batch statistics.
-    pub fn ingest_batch<P: ExecutionPolicy>(
+    pub fn ingest_batch(
         &mut self,
         batch: &[Vec<ItemId>],
-        policy: &P,
+        policy: &impl ExecutionPolicy,
     ) -> BatchStats {
         let batch_index = self.state.generation; // 0-based index of this batch
         let mut stats = BatchStats::new(batch_index, batch.len() as u64);

@@ -42,13 +42,13 @@ fn main() {
     timed("Eclat (sequential)", "the paper, §5", &mut || {
         eclat::sequential::mine(&db, minsup)
     });
-    timed("Eclat (rayon)", "the paper on modern cores", &mut || {
+    timed("Eclat (parallel)", "the paper on modern cores", &mut || {
         eclat::parallel::mine(&db, minsup)
     });
     timed("Eclat (diffsets)", "d-Eclat extension, §9", &mut || {
         // diffset kernel via the clique-free path
         let mut m = OpMeter::new();
-        let cfg = eclat::EclatConfig::default();
+        let cfg = eclat::EclatConfig::with_representation(eclat::Representation::Diffset);
         let threshold = minsup.count_threshold(db.num_transactions());
         let n = db.num_transactions();
         let tri = eclat::transform::count_pairs(&db, 0..n, &mut m);
@@ -64,7 +64,7 @@ fn main() {
             for mem in &class.members {
                 out.insert(mem.itemset.clone(), mem.tids.support());
             }
-            eclat::diffset_mine::compute_frequent_diff(class, threshold, &cfg, &mut m, &mut out);
+            eclat::pipeline::compute_class(class, threshold, &cfg, &mut m, &mut out);
         }
         out
     });

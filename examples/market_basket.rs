@@ -5,7 +5,7 @@
 //!
 //! Builds a retail scenario with named products, plants a handful of
 //! ground-truth co-purchase patterns on top of noise, mines with the
-//! rayon-parallel Eclat, and checks the planted patterns are recovered.
+//! shared-memory parallel Eclat, and checks the planted patterns are recovered.
 //!
 //! ```text
 //! cargo run --example market_basket --release

@@ -38,6 +38,11 @@ cargo run -q --release -p eclat-cli -- dmine --input "$tmpdir/t10.ech" \
     --support 0.25 --spawn-local 4 > "$tmpdir/dmine.out"
 diff <(tail -n +2 "$tmpdir/mine.out") <(tail -n +2 "$tmpdir/dmine.out")
 
+echo "==> mine --algorithm parallel == mine (every core on the greedy class shards)"
+cargo run -q --release -p eclat-cli -- mine --input "$tmpdir/t10.ech" \
+    --support 0.25 --algorithm parallel > "$tmpdir/mine_parallel.out"
+diff <(tail -n +2 "$tmpdir/mine.out") <(tail -n +2 "$tmpdir/mine_parallel.out")
+
 echo "==> dmine --spawn-local 2 --threads 2 == mine (hybrid W x P workers)"
 cargo run -q --release -p eclat-cli -- dmine --input "$tmpdir/t10.ech" \
     --support 0.25 --spawn-local 2 --threads 2 > "$tmpdir/dmine_hybrid.out"
@@ -138,6 +143,10 @@ cargo run -q --release -p eclat-cli -- seq --input "$tmpdir/c10.ecs" \
     --minsup 6 --policy threads:3 > "$tmpdir/seq_threads.out"
 diff <(tail -n +2 "$tmpdir/seq.out") <(tail -n +2 "$tmpdir/seq_rayon.out")
 diff <(tail -n +2 "$tmpdir/seq_rayon.out") <(tail -n +2 "$tmpdir/seq_threads.out")
+# Bare `threads` is every core, like `rayon`.
+cargo run -q --release -p eclat-cli -- seq --input "$tmpdir/c10.ecs" \
+    --minsup 6 --policy threads > "$tmpdir/seq_threads_all.out"
+diff <(tail -n +2 "$tmpdir/seq.out") <(tail -n +2 "$tmpdir/seq_threads_all.out")
 
 echo "==> seqbench --smoke (SPADE policies + maxlen ablation, equality-asserted)"
 cargo run -q --release -p repro-bench --bin seqbench -- --smoke \

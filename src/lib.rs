@@ -37,7 +37,7 @@
 //!
 //! See the crate-level docs of each member for the full story:
 //!
-//! * [`eclat`] — the paper's contribution (sequential, rayon-parallel,
+//! * [`eclat`] — the paper's contribution (sequential, shared-memory parallel,
 //!   simulated-cluster, and hybrid variants, plus the clique clustering
 //!   and MaxEclat companions of its reference \[18\]),
 //! * [`apriori`] / [`parbase`] — the baselines it is compared against
