@@ -67,7 +67,7 @@ impl ClusterReport {
 }
 
 /// Bytes of a serialized frequent-itemset result (`k` items + support).
-fn result_bytes(fs: &FrequentSet) -> u64 {
+pub(crate) fn result_bytes(fs: &FrequentSet) -> u64 {
     fs.iter().map(|(is, _)| is.len() as u64 * 4 + 4).sum()
 }
 

@@ -20,9 +20,9 @@
 
 use crate::compute::EclatConfig;
 use crate::equivalence::classes_of_l2;
-use crate::pipeline::{ExecutionPolicy, Serial};
+use crate::pipeline::{self, ExecutionPolicy, Serial};
 use crate::schedule::{schedule_weights, shard_classes, Assignment};
-use crate::transform::{build_pair_tidlists, count_pairs, index_pairs};
+use crate::transform::{build_pair_tidlists, count_items, count_pairs, index_pairs};
 use dbstore::{BlockPartition, HorizontalDb};
 use memchannel::collective::{broadcast_all, lockstep_exchange, sum_reduce, BarrierSeq};
 use memchannel::{ClusterConfig, CostModel, TraceRecorder, BROADCAST};
@@ -30,7 +30,9 @@ use mining_types::stats::{MiningStats, PhaseStats};
 use mining_types::{FrequentSet, ItemId, MinSupport, OpMeter};
 use tidlist::TidList;
 
-use crate::cluster::{ClusterReport, PHASE_ASYNC, PHASE_INIT, PHASE_REDUCE, PHASE_TRANSFORM};
+use crate::cluster::{
+    result_bytes, ClusterReport, PHASE_ASYNC, PHASE_INIT, PHASE_REDUCE, PHASE_TRANSFORM,
+};
 
 /// Run hybrid Eclat: host-level partitioning + intra-host work sharing.
 pub fn mine_hybrid(
@@ -72,7 +74,12 @@ pub fn mine_hybrid(
             let range = hb.start + r.start..hb.start + r.end;
             rec.disk_read(db.byte_size_range(range.clone()));
             let mut meter = OpMeter::new();
-            let tri = count_pairs(db, range, &mut meter);
+            let tri = count_pairs(db, range.clone(), &mut meter);
+            if cfg.include_singletons {
+                // Piggybacked singleton counting, metered per sub-range;
+                // the global counts are assembled once below.
+                let _ = count_items(db, range, &mut meter);
+            }
             rec.compute(&meter);
             init_ops.merge(&meter);
             match &mut global_tri {
@@ -104,11 +111,17 @@ pub fn mine_hybrid(
     let l2: Vec<(ItemId, ItemId, u32)> = global_tri.frequent_pairs(threshold).collect();
     let num_l2 = l2.len();
     stats.record_level(2, global_tri.cells() as u64, num_l2 as u64);
+    if cfg.include_singletons {
+        let (counted, inserted) =
+            pipeline::insert_frequent_singletons(db, threshold, &mut OpMeter::new(), &mut out);
+        stats.record_level(1, counted, inserted);
+    }
     if l2.is_empty() {
         for rec in &mut recorders {
             rec.phase(PHASE_REDUCE);
         }
-        sum_reduce(&mut recorders, &vec![0; t], 0, &mut barriers);
+        let bytes = result_bytes(&out);
+        sum_reduce(&mut recorders, &vec![0; t], bytes, &mut barriers);
         let traces: Vec<_> = recorders.into_iter().map(|r| r.finish()).collect();
         let timeline = memchannel::des::replay(cluster, cost, &traces);
         for (label, ops) in [(PHASE_INIT, init_ops), (PHASE_REDUCE, OpMeter::new())] {
@@ -291,10 +304,7 @@ pub fn mine_hybrid(
     }
 
     // ---------------- Final reduction ----------------
-    let sizes: Vec<u64> = local_results
-        .iter()
-        .map(|fs| fs.iter().map(|(is, _)| is.len() as u64 * 4 + 4).sum())
-        .collect();
+    let sizes: Vec<u64> = local_results.iter().map(result_bytes).collect();
     let total: u64 = sizes.iter().sum();
     for rec in recorders.iter_mut() {
         rec.phase(PHASE_REDUCE);
@@ -360,6 +370,16 @@ mod tests {
                 &EclatConfig::default(),
             );
             assert_eq!(report.frequent, expect, "H={hh} P={pp}");
+        }
+        // With singletons, including a database with no frequent pair.
+        let cfg = EclatConfig::with_singletons();
+        let no_pairs = dbstore::HorizontalDb::of(&[&[0], &[0, 1], &[1], &[2]]);
+        for (db, percent) in [(random_db(2, 150, 10, 5), 8.0), (no_pairs, 50.0)] {
+            let minsup = MinSupport::from_percent(percent);
+            let expect = sequential::mine_with(&db, minsup, &cfg, &mut OpMeter::new());
+            assert!(!expect.of_size(1).is_empty());
+            let report = mine_hybrid(&db, minsup, &ClusterConfig::new(2, 2), &cost(), &cfg);
+            assert_eq!(report.frequent, expect, "singletons at {percent} %");
         }
     }
 

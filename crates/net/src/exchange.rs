@@ -44,12 +44,12 @@ pub fn route_partials(
 ///
 /// `deposits` maps rank → entries; the `BTreeMap` iterates ranks in
 /// ascending order, which *is* the §6.3 merge: partial lists append in
-/// rank order and arrive globally sorted for free ([`TidList`] asserts
-/// the ascending-range invariant).
+/// rank order and arrive globally sorted for free.
 ///
 /// # Errors
-/// A slot index at or past `num_slots` is a protocol violation and is
-/// reported with the offending rank.
+/// A slot index at or past `num_slots`, or tids that are unsorted or
+/// not above the previous ranks' tids for that slot, are protocol
+/// violations and are reported with the offending rank and slot.
 pub fn assemble(
     deposits: &BTreeMap<u32, Entries>,
     num_slots: usize,
@@ -63,8 +63,18 @@ pub fn assemble(
                     "rank {rank} deposited slot {slot}, but the plan has {num_slots} slots"
                 ));
             }
-            let partial = TidList::from_sorted(tids.iter().map(|&t| Tid(t)).collect());
-            lists[slot].append_partial(&partial);
+            let list = &mut lists[slot];
+            let above =
+                (list.tids().last().zip(tids.first())).is_none_or(|(last, &first)| first > last.0);
+            let partial = TidList::try_from_sorted(tids.iter().map(|&t| Tid(t)).collect())
+                .filter(|_| above)
+                .ok_or_else(|| {
+                    format!(
+                        "rank {rank} deposited tids for slot {slot} that are unsorted \
+                         or overlap an earlier rank's range"
+                    )
+                })?;
+            list.append_partial(&partial);
         }
     }
     Ok(lists)
@@ -112,13 +122,18 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "ascending")]
-    fn assemble_panics_on_overlapping_ranges() {
+    fn assemble_rejects_overlapping_ranges() {
         // Misrouted tid ranges (rank 1's tids below rank 0's) violate the
-        // block invariant the whole §6.3 scheme rests on.
+        // block invariant the whole §6.3 scheme rests on; so does one
+        // rank's unsorted partial.
         let mut deposits = BTreeMap::new();
         deposits.insert(0u32, vec![(0u32, vec![10, 11])]);
         deposits.insert(1u32, vec![(0u32, vec![3])]);
-        let _ = assemble(&deposits, 1);
+        let err = assemble(&deposits, 1).unwrap_err();
+        assert!(err.contains("rank 1") && err.contains("slot 0"), "{err}");
+        let mut deposits = BTreeMap::new();
+        deposits.insert(2u32, vec![(1u32, vec![8, 4])]);
+        let err = assemble(&deposits, 2).unwrap_err();
+        assert!(err.contains("rank 2") && err.contains("slot 1"), "{err}");
     }
 }

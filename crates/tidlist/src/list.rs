@@ -66,11 +66,15 @@ impl TidList {
     /// # Panics
     /// Panics if the invariant does not hold.
     pub fn from_sorted(tids: Vec<Tid>) -> Self {
-        assert!(
-            tids.windows(2).all(|w| w[0] < w[1]),
-            "tid-list must be strictly ascending"
-        );
-        TidList { tids }
+        Self::try_from_sorted(tids).expect("tid-list must be strictly ascending")
+    }
+
+    /// [`TidList::from_sorted`] for tids read from outside the process:
+    /// `None` unless they are strictly ascending.
+    pub fn try_from_sorted(tids: Vec<Tid>) -> Option<Self> {
+        tids.windows(2)
+            .all(|w| w[0] < w[1])
+            .then_some(TidList { tids })
     }
 
     /// Build from raw `u32` tids, sorting and deduplicating as needed.

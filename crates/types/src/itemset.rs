@@ -63,11 +63,16 @@ impl Itemset {
     /// mining kernels silently produce garbage on unsorted input, so this
     /// is always checked.
     pub fn from_sorted(items: Vec<ItemId>) -> Self {
-        assert!(
-            items.windows(2).all(|w| w[0] < w[1]),
-            "itemset must be strictly ascending: {items:?}"
-        );
-        Itemset { items }
+        Self::try_from_sorted(items).expect("itemset must be strictly ascending")
+    }
+
+    /// [`Itemset::from_sorted`] for items read from outside the process:
+    /// `None` unless they are strictly ascending.
+    pub fn try_from_sorted(items: Vec<ItemId>) -> Option<Self> {
+        items
+            .windows(2)
+            .all(|w| w[0] < w[1])
+            .then_some(Itemset { items })
     }
 
     /// Build from raw `u32` item ids (convenience for tests and examples).
