@@ -102,7 +102,7 @@ use common::{
 };
 use dbstore::{binfmt, HorizontalDb};
 use memchannel::{ClusterConfig, CostModel};
-use mining_types::{FrequentSet, MinSupport, OpMeter};
+use mining_types::{FrequentSet, MinSupport, OpMeter, TriangleMatrix};
 use questgen::{QuestGenerator, QuestParams, SeqGenerator, SeqParams};
 use std::fmt::Write as _;
 use std::fs::File;
@@ -186,6 +186,12 @@ fn load_db(flags: &Flags) -> Result<HorizontalDb, String> {
     let f = File::open(path).map_err(|e| format!("open {path}: {e}"))?;
     let mut r = BufReader::new(f);
     let (db, _) = binfmt::read_horizontal(&mut r).map_err(|e| format!("read {path}: {e}"))?;
+    if !TriangleMatrix::fits(db.num_items() as usize) {
+        return Err(format!(
+            "read {path}: no memory for the pair triangle of {} items",
+            db.num_items()
+        ));
+    }
     Ok(db)
 }
 

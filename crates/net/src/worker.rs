@@ -596,6 +596,13 @@ impl Session<'_> {
                 let (cfg, want_items) = crate::proto::decode_config(flags, repr_tag, repr_depth)?;
                 let (db, _) = binfmt::read_horizontal(&mut &block[..])
                     .map_err(|e| NetError::Protocol(format!("bad database block: {e}")))?;
+                // The Counts reply carries the whole pair triangle in one frame.
+                let n = u64::from(db.num_items());
+                if n * n.saturating_sub(1) / 2 > (MAX_NET_FRAME / 4) as u64 {
+                    return Err(NetError::Protocol(format!(
+                        "bad database block: the pair triangle of {n} items exceeds a frame"
+                    )));
+                }
                 (threshold, tid_offset, cfg, want_items, db)
             }
             other => {

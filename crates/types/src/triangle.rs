@@ -29,6 +29,17 @@ impl TriangleMatrix {
         }
     }
 
+    /// Whether the `C(n,2)` counters of a matrix over `n` items can be
+    /// allocated: `false` where [`TriangleMatrix::new`] would overflow or
+    /// abort on a failed allocation. Probes by reserving the counters,
+    /// untouched, and releasing them at once. Loaders check a file's
+    /// declared item universe with this before any miner sizes a
+    /// triangle by it.
+    pub fn fits(n: usize) -> bool {
+        n.checked_mul(n.saturating_sub(1))
+            .is_some_and(|twice| Vec::<u32>::new().try_reserve_exact(twice / 2).is_ok())
+    }
+
     /// Rebuild a matrix from its flat cell vector, e.g. after a network
     /// transfer of the per-processor partial counts.
     ///
@@ -250,5 +261,12 @@ mod tests {
         let m1 = TriangleMatrix::new(1);
         assert_eq!(m1.cells(), 0);
         assert_eq!(m1.frequent_pairs(0).count(), 0);
+    }
+
+    #[test]
+    fn fits_rejects_unallocatable_universes() {
+        assert!(TriangleMatrix::fits(0) && TriangleMatrix::fits(1000));
+        assert!(!TriangleMatrix::fits(u32::MAX as usize));
+        assert!(!TriangleMatrix::fits(usize::MAX));
     }
 }
