@@ -44,40 +44,48 @@ fn mine_trace_roundtrips_to_chrome() {
     let chrome = temp("mine.json");
     generate(&db);
 
-    let mined = eclat(&[
-        "mine",
-        "--input",
-        db.to_str().unwrap(),
-        "--support",
-        "0.5",
-        "--algorithm",
-        "parallel",
-        "--stats",
-        "--trace",
-        trace.to_str().unwrap(),
-    ]);
-    assert!(mined.contains("trace: "), "{mined}");
+    // With `--stats` and without it: both run the one pipeline body, so
+    // both trace its phases.
+    for stats in [&["--stats"][..], &[]] {
+        let mut args = vec![
+            "mine",
+            "--input",
+            db.to_str().unwrap(),
+            "--support",
+            "0.5",
+            "--algorithm",
+            "parallel",
+            "--trace",
+            trace.to_str().unwrap(),
+        ];
+        args.extend_from_slice(stats);
+        let mined = eclat(&args);
+        assert!(mined.contains("trace: "), "{mined}");
 
-    let report = eclat(&[
-        "trace",
-        "--input",
-        trace.to_str().unwrap(),
-        "--chrome",
-        chrome.to_str().unwrap(),
-    ]);
-    assert!(report.contains("valid trace"), "{report}");
-    // The stats pipeline spans its phases; the kernels span their
-    // scans; phase 3 spans each equivalence class.
-    for name in ["init", "transform", "async", "scan:count_pairs", "class"] {
-        assert!(report.contains(name), "missing span '{name}': {report}");
+        let report = eclat(&[
+            "trace",
+            "--input",
+            trace.to_str().unwrap(),
+            "--chrome",
+            chrome.to_str().unwrap(),
+        ]);
+        assert!(report.contains("valid trace"), "{report}");
+        // The pipeline spans its phases; the kernels span their scans;
+        // phase 3 spans each equivalence class.
+        for name in ["init", "transform", "async", "scan:count_pairs", "class"] {
+            assert!(
+                report.contains(name),
+                "missing span '{name}' with {stats:?}: {report}"
+            );
+        }
+
+        let cj = std::fs::read_to_string(&chrome).unwrap();
+        assert!(cj.starts_with("{\"traceEvents\":["), "{cj}");
+        assert!(
+            cj.trim_end().ends_with("\"displayTimeUnit\":\"ms\"}"),
+            "{cj}"
+        );
     }
-
-    let cj = std::fs::read_to_string(&chrome).unwrap();
-    assert!(cj.starts_with("{\"traceEvents\":["), "{cj}");
-    assert!(
-        cj.trim_end().ends_with("\"displayTimeUnit\":\"ms\"}"),
-        "{cj}"
-    );
 
     for p in [&db, &trace, &chrome] {
         std::fs::remove_file(p).unwrap();

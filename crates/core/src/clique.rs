@@ -21,6 +21,7 @@
 use crate::compute::EclatConfig;
 use crate::equivalence::{ClassMember, EquivalenceClass};
 use crate::pipeline::{self, ExecutionPolicy, Serial};
+use mining_types::stats::KernelStats;
 use mining_types::{FrequentSet, FxHashMap, FxHashSet, ItemId, OpMeter};
 
 /// The `L2` adjacency relation restricted to one prefix class.
@@ -144,7 +145,7 @@ pub fn mine_class_cliques(
     let mut scratch: FxHashMap<mining_types::Itemset, u32> = FxHashMap::default();
     for sub in clique_clusters(&class, edges) {
         let mut local = FrequentSet::new();
-        pipeline::compute_class(sub, minsup, cfg, meter, &mut local);
+        pipeline::compute_class(sub, minsup, cfg, meter, &mut local, &mut KernelStats::new());
         for (is, sup) in local.iter() {
             scratch.insert(is.clone(), sup);
         }

@@ -32,7 +32,7 @@ use tidlist::TidSet;
 ///
 /// Every variant's driver builds `L2` classes as tid-lists (that is what
 /// the vertical transform produces); this knob decides what happens below
-/// `L2`. See `pipeline::compute_class` for the dispatch.
+/// `L2`. `pipeline::on_representation` is the one place it is matched.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Representation {
     /// Plain sorted tid-lists — the paper's §4.2 layout.
@@ -59,21 +59,25 @@ pub enum Representation {
     Bitmap,
     /// Per-class density dispatch: a class whose average member density
     /// (`Σ support / (members · window span)`) is at least
-    /// `permille / 1000` mines on bitmaps; sparser classes mine on the
-    /// explicitly vectorized chunked tid-list kernels
-    /// (`tidlist::ChunkedList`).
+    /// `permille / 1000` mines on bitmaps; sparser classes mine on
+    /// diffsets, exactly as [`Diffset`] does.
+    ///
+    /// [`Diffset`]: Representation::Diffset
     AutoDensity {
         /// Density threshold in thousandths. The default
-        /// [`DEFAULT_DENSITY_PERMILLE`] sits at the op-count crossover:
-        /// a `w`-word bitmap join costs `w` word ops while the merge
-        /// costs about `2·d·64·w` element probes, so the bitmap is
-        /// cheaper once density `d ≳ 1/128 ≈ 8‰`.
+        /// [`DEFAULT_DENSITY_PERMILLE`] sits at the bitmap-vs-merge
+        /// op-count crossover: a `w`-word bitmap join costs `w` word ops
+        /// while a tid-list merge costs about `2·d·64·w` element probes, so
+        /// the bitmap is cheaper once density `d ≳ 1/128 ≈ 8‰`. The
+        /// sparse arm is diffsets, whose cost that crossover does not
+        /// model; the threshold is not calibrated on measured seconds.
         permille: u32,
     },
 }
 
-/// Default `auto-density` threshold (8‰ ≈ the bitmap-vs-merge op-count
-/// crossover; see [`Representation::AutoDensity`]).
+/// Default `auto-density` threshold: 8‰, the bitmap-vs-merge op-count
+/// crossover. Classes below it mine on diffsets (see
+/// [`Representation::AutoDensity`]).
 pub const DEFAULT_DENSITY_PERMILLE: u32 = 8;
 
 impl std::fmt::Display for Representation {
@@ -178,9 +182,9 @@ pub(crate) trait JoinHandler<S> {
 /// report each outcome to the handler.
 ///
 /// This is the **only** pairwise-join loop in the crate — the recursive
-/// kernel, the maximal-clique variant, and the d-Eclat wrapper all route
-/// through it, so candidate and comparison metering is identical across
-/// variants.
+/// kernel, the maximal-clique variant, and MaxEclat's fallback level all
+/// route through it, so candidate and comparison metering is identical
+/// across variants.
 pub(crate) fn join_level<S: TidSet>(
     members: &[ClassMember<S>],
     minsup: u32,
@@ -188,6 +192,9 @@ pub(crate) fn join_level<S: TidSet>(
     meter: &mut OpMeter,
     handler: &mut impl JoinHandler<S>,
 ) {
+    // Short-circuited joins bail below `minsup` (§5.3); plain joins run to
+    // completion and the support filter decides.
+    let bound = cfg.short_circuit.then_some(minsup);
     for i in 0..members.len() {
         for j in i + 1..members.len() {
             let candidate = members[i]
@@ -200,14 +207,10 @@ pub(crate) fn join_level<S: TidSet>(
                 continue;
             }
 
-            let joined = if cfg.short_circuit {
-                members[i]
-                    .tids
-                    .join_bounded_metered(&members[j].tids, minsup, meter)
-            } else {
-                let full = members[i].tids.join_metered(&members[j].tids, meter);
-                (full.support() >= minsup).then_some(full)
-            };
+            let joined = members[i]
+                .tids
+                .join(&members[j].tids, bound, meter)
+                .filter(|t| t.support() >= minsup);
             handler.on_result(i, j, candidate, joined);
         }
     }

@@ -41,6 +41,22 @@ impl<S> EquivalenceClass<S> {
     pub fn weight(&self) -> u64 {
         mining_types::itemset::choose2(self.size())
     }
+
+    /// The same class with every member's vertical data mapped through
+    /// `f` — how a tid-list class changes representation.
+    pub fn map_members<T>(self, mut f: impl FnMut(S) -> T) -> EquivalenceClass<T> {
+        EquivalenceClass {
+            prefix: self.prefix,
+            members: self
+                .members
+                .into_iter()
+                .map(|m| ClassMember {
+                    itemset: m.itemset,
+                    tids: f(m.tids),
+                })
+                .collect(),
+        }
+    }
 }
 
 impl<S: TidSet> EquivalenceClass<S> {

@@ -10,20 +10,21 @@
 //! one-extension-at-a-time recursion.
 //!
 //! The look-ahead runs on any [`EclatConfig::representation`]: it is
-//! built on the [`TidSet`] multi-way fold (`fold_join_bounded_metered`),
-//! which tracks the representation per join depth — tid-list
-//! intersections, the tid-list → diffset conversion, and diffset
-//! differences can mix inside one fold (see
-//! `tidlist::AdaptiveSet::fold_with`).
+//! built on the [`TidSet`] multi-way fold ([`TidSet::fold_join`]), which
+//! for the switching representation tracks the representation per join
+//! depth — tid-list intersections, the tid-list → diffset conversion, and
+//! diffset differences can mix inside one fold (see
+//! `tidlist::AdaptiveSet`'s `fold_join`).
 //!
 //! Output: the maximal frequent itemsets of size ≥ 2 with their exact
 //! supports. Cross-checked against `FrequentSet::maximal()` of the full
 //! miner.
 
-use crate::compute::{join_level, EclatConfig, JoinHandler, Representation};
+use crate::compute::{join_level, EclatConfig, JoinHandler};
 use crate::equivalence::{ClassMember, EquivalenceClass};
 use crate::pipeline::{
-    self, ExecutionPolicy, Serial, PHASE_ASYNC, PHASE_INIT, PHASE_REDUCE, PHASE_TRANSFORM,
+    self, ClassKernel, ExecutionPolicy, Serial, PHASE_ASYNC, PHASE_INIT, PHASE_REDUCE,
+    PHASE_TRANSFORM,
 };
 use dbstore::HorizontalDb;
 use mining_types::stats::{ClassStats, KernelStats, MiningStats, PhaseStats};
@@ -144,9 +145,9 @@ pub fn mine_maximal_stats(
     (out, stats)
 }
 
-/// One class of the max search: dispatch the tid-list `L2` class to the
-/// representation picked by the config, mirroring
-/// `pipeline::compute_class_stats`.
+/// One class of the max search, on the representation
+/// [`pipeline::on_representation`] picks — the same dispatch the full
+/// miner uses.
 fn max_class(
     class: EquivalenceClass,
     minsup: u32,
@@ -161,64 +162,36 @@ fn max_class(
         found.push((m.itemset.clone(), m.tids.support()));
         return;
     }
-    match cfg.representation {
-        Representation::TidList if cfg.gallop => max_search(
-            pipeline::gallop_class(class),
-            minsup,
-            cfg,
-            meter,
-            found,
-            stats,
-        ),
-        Representation::TidList => max_search(class, minsup, cfg, meter, found, stats),
-        Representation::Diffset => max_search(
-            pipeline::fuel_class(class, 0),
-            minsup,
-            cfg,
-            meter,
-            found,
-            stats,
-        ),
-        Representation::AutoSwitch { depth } => max_search(
-            pipeline::fuel_class(class, depth),
-            minsup,
-            cfg,
-            meter,
-            found,
-            stats,
-        ),
-        Representation::Bitmap => max_search(
-            pipeline::bitmap_class(class),
-            minsup,
-            cfg,
-            meter,
-            found,
-            stats,
-        ),
-        Representation::AutoDensity { permille } => {
-            // Same per-class density split as the full miner: dense
-            // classes fold on bitmaps, sparse ones on the chunked kernels.
-            if pipeline::class_is_dense(&class, permille) {
-                max_search(
-                    pipeline::bitmap_class(class),
-                    minsup,
-                    cfg,
-                    meter,
-                    found,
-                    stats,
-                )
-            } else {
-                max_search(
-                    pipeline::chunked_class(class),
-                    minsup,
-                    cfg,
-                    meter,
-                    found,
-                    stats,
-                )
-            }
+    struct MaxSearch<'a> {
+        minsup: u32,
+        cfg: &'a EclatConfig,
+        meter: &'a mut OpMeter,
+        found: &'a mut Vec<(Itemset, u32)>,
+        stats: &'a mut KernelStats,
+    }
+    impl ClassKernel for MaxSearch<'_> {
+        fn run<S: TidSet>(self, class: EquivalenceClass<S>) {
+            max_search(
+                class,
+                self.minsup,
+                self.cfg,
+                self.meter,
+                self.found,
+                self.stats,
+            );
         }
     }
+    pipeline::on_representation(
+        class,
+        cfg,
+        MaxSearch {
+            minsup,
+            cfg,
+            meter,
+            found,
+            stats,
+        },
+    );
 }
 
 /// Recursive hybrid search over one class, generic over the members'
@@ -241,14 +214,10 @@ fn max_search<S: TidSet>(
     let union_size = (members[0].itemset.len() + members.len() - 1) as u64;
     stats.record_candidate(union_size);
     let rest: Vec<&S> = members[1..].iter().map(|m| &m.tids).collect();
-    let all = if cfg.short_circuit {
-        members[0]
-            .tids
-            .fold_join_bounded_metered(&rest, minsup, meter)
-    } else {
-        let full = members[0].tids.fold_join_metered(&rest, meter);
-        (full.support() >= minsup).then_some(full)
-    };
+    let all = members[0]
+        .tids
+        .fold_join(&rest, cfg.short_circuit.then_some(minsup), meter)
+        .filter(|t| t.support() >= minsup);
     if let Some(all) = all {
         // The whole class joins into one frequent itemset — maximal for
         // this subtree; everything below is subsumed.
@@ -352,6 +321,7 @@ pub fn maximal_of(fs: &FrequentSet) -> FrequentSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Representation;
     use apriori::reference::random_db;
     use mining_types::ItemId;
 
@@ -364,7 +334,7 @@ mod tests {
             Representation::AutoSwitch { depth: 2 },
             Representation::Bitmap,
             Representation::AutoDensity { permille: 8 },
-            // Extreme thresholds force the all-chunked / all-bitmap arms.
+            // Extreme thresholds force the all-diffset / all-bitmap arms.
             Representation::AutoDensity { permille: 1000 },
             Representation::AutoDensity { permille: 0 },
         ]

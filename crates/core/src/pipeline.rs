@@ -26,7 +26,7 @@
 //! included.
 
 use crate::compute::{compute_frequent_stats, EclatConfig, Representation};
-use crate::equivalence::{classes_of_l2, ClassMember, EquivalenceClass};
+use crate::equivalence::{classes_of_l2, EquivalenceClass};
 use crate::schedule::{schedule_weights, shard_classes, ScheduleHeuristic};
 use crate::transform::{build_pair_tidlists, count_items, count_pairs, index_pairs};
 use dbstore::HorizontalDb;
@@ -35,7 +35,7 @@ use mining_types::{FrequentSet, ItemId, Itemset, MinSupport, OpMeter, TriangleMa
 use std::ops::Range;
 use std::sync::Mutex;
 use std::time::Instant;
-use tidlist::{AdaptiveSet, BitmapSet, ChunkedList, GallopList};
+use tidlist::{AdaptiveSet, BitmapSet, GallopList, TidSet};
 
 /// Trace/stats label of the initialization phase (§5.1 counting).
 pub const PHASE_INIT: &str = "init";
@@ -409,30 +409,15 @@ pub fn mine_class(
         members: class.members.len() as u64,
         kernel: KernelStats::new(),
     };
-    compute_class_stats(class, threshold, cfg, meter, out, &mut stats.kernel);
+    compute_class(class, threshold, cfg, meter, out, &mut stats.kernel);
     stats
 }
 
-/// Run the recursive kernel on a tid-list `L2` class, dispatching on
-/// [`EclatConfig::representation`]. The class members themselves must
-/// already be recorded by the caller ([`mine_class`] does both).
-///
-/// `Diffset` wraps each member with fuel 0 — the first join below `L2`
-/// converts to `d(xy·z) = t(xy) − t(xz)` and the subtree continues on
-/// diffsets, which is exactly d-Eclat. `AutoSwitch { depth }` delays the
-/// conversion `depth` further levels.
+/// Run the recursive kernel on a tid-list `L2` class in the
+/// representation `on_representation` picks, filling the kernel work
+/// counters. The class members themselves must already be recorded by
+/// the caller ([`mine_class`] does both).
 pub fn compute_class(
-    class: EquivalenceClass,
-    threshold: u32,
-    cfg: &EclatConfig,
-    meter: &mut OpMeter,
-    out: &mut FrequentSet,
-) {
-    compute_class_stats(class, threshold, cfg, meter, out, &mut KernelStats::new());
-}
-
-/// [`compute_class`] that also fills the kernel work counters.
-pub fn compute_class_stats(
     class: EquivalenceClass,
     threshold: u32,
     cfg: &EclatConfig,
@@ -440,96 +425,77 @@ pub fn compute_class_stats(
     out: &mut FrequentSet,
     stats: &mut KernelStats,
 ) {
+    struct Frequent<'a> {
+        threshold: u32,
+        cfg: &'a EclatConfig,
+        meter: &'a mut OpMeter,
+        out: &'a mut FrequentSet,
+        stats: &'a mut KernelStats,
+    }
+    impl ClassKernel for Frequent<'_> {
+        fn run<S: TidSet>(self, class: EquivalenceClass<S>) {
+            compute_frequent_stats(
+                class,
+                self.threshold,
+                self.cfg,
+                self.meter,
+                self.out,
+                self.stats,
+            );
+        }
+    }
+    on_representation(
+        class,
+        cfg,
+        Frequent {
+            threshold,
+            cfg,
+            meter,
+            out,
+            stats,
+        },
+    );
+}
+
+/// A per-class kernel that runs on any representation — what
+/// [`on_representation`] hands the converted class to.
+pub(crate) trait ClassKernel {
+    /// Mine `class`, whatever its members' vertical representation.
+    fn run<S: TidSet>(self, class: EquivalenceClass<S>);
+}
+
+/// The one mapping from [`EclatConfig::representation`] to a [`TidSet`]:
+/// convert a tid-list `L2` class and run `kernel` on it.
+///
+/// - `TidList` keeps the class as it is, or wraps it in [`GallopList`]
+///   under `cfg.gallop`.
+/// - `Diffset` wraps each member as an [`AdaptiveSet`] with fuel 0: the
+///   first join below `L2` converts to `d(xy·z) = t(xy) − t(xz)` and the
+///   subtree continues on diffsets, which is exactly d-Eclat.
+///   `AutoSwitch { depth }` delays the conversion `depth` further levels.
+/// - `Bitmap` converts the class to [`BitmapSet`]s sharing one frame.
+/// - `AutoDensity` takes the bitmap arm for dense classes
+///   ([`class_is_dense`]) and the diffset arm otherwise.
+pub(crate) fn on_representation(
+    class: EquivalenceClass,
+    cfg: &EclatConfig,
+    kernel: impl ClassKernel,
+) {
+    let fuel = |class: EquivalenceClass, fuel: u32| {
+        class.map_members(|tids| AdaptiveSet::with_fuel(tids, fuel))
+    };
     match cfg.representation {
-        Representation::TidList if cfg.gallop => {
-            compute_frequent_stats(gallop_class(class), threshold, cfg, meter, out, stats)
+        Representation::TidList if cfg.gallop => kernel.run(class.map_members(GallopList)),
+        Representation::TidList => kernel.run(class),
+        Representation::Diffset => kernel.run(fuel(class, 0)),
+        Representation::AutoSwitch { depth } => kernel.run(fuel(class, depth)),
+        Representation::AutoDensity { permille } if !class_is_dense(&class, permille) => {
+            kernel.run(fuel(class, 0))
         }
-        Representation::TidList => compute_frequent_stats(class, threshold, cfg, meter, out, stats),
-        Representation::Diffset => {
-            compute_frequent_stats(fuel_class(class, 0), threshold, cfg, meter, out, stats)
+        Representation::Bitmap | Representation::AutoDensity { .. } => {
+            let (base, words) = BitmapSet::frame_of(class.members.iter().map(|m| &m.tids));
+            kernel.run(class.map_members(|tids| BitmapSet::from_tidlist(&tids, base, words)))
         }
-        Representation::AutoSwitch { depth } => {
-            compute_frequent_stats(fuel_class(class, depth), threshold, cfg, meter, out, stats)
-        }
-        Representation::Bitmap => {
-            compute_frequent_stats(bitmap_class(class), threshold, cfg, meter, out, stats)
-        }
-        Representation::AutoDensity { permille } => {
-            if class_is_dense(&class, permille) {
-                compute_frequent_stats(bitmap_class(class), threshold, cfg, meter, out, stats)
-            } else {
-                compute_frequent_stats(chunked_class(class), threshold, cfg, meter, out, stats)
-            }
-        }
-    }
-}
-
-/// Wrap a tid-list class into the adaptive representation with the given
-/// switch budget (`fuel = 0` → pure diffsets below `L2`).
-pub(crate) fn fuel_class(class: EquivalenceClass, fuel: u32) -> EquivalenceClass<AdaptiveSet> {
-    EquivalenceClass {
-        prefix: class.prefix,
-        members: class
-            .members
-            .into_iter()
-            .map(|m| ClassMember {
-                itemset: m.itemset,
-                tids: AdaptiveSet::with_fuel(m.tids, fuel),
-            })
-            .collect(),
-    }
-}
-
-/// Wrap a tid-list class into the adaptive-galloping representation
-/// (`EclatConfig::gallop`): joins go through
-/// `TidList::intersect_adaptive`, picking the exponential-search kernel
-/// on skewed operands.
-pub(crate) fn gallop_class(class: EquivalenceClass) -> EquivalenceClass<GallopList> {
-    EquivalenceClass {
-        prefix: class.prefix,
-        members: class
-            .members
-            .into_iter()
-            .map(|m| ClassMember {
-                itemset: m.itemset,
-                tids: GallopList(m.tids),
-            })
-            .collect(),
-    }
-}
-
-/// Convert a tid-list class to fixed-width bitmaps sharing one
-/// word-aligned frame (`BitmapSet::frame_of` over the members), so every
-/// join below `L2` is an aligned word `AND` + popcount.
-pub(crate) fn bitmap_class(class: EquivalenceClass) -> EquivalenceClass<BitmapSet> {
-    let (base, words) = BitmapSet::frame_of(class.members.iter().map(|m| &m.tids));
-    EquivalenceClass {
-        prefix: class.prefix,
-        members: class
-            .members
-            .into_iter()
-            .map(|m| ClassMember {
-                tids: BitmapSet::from_tidlist(&m.tids, base, words),
-                itemset: m.itemset,
-            })
-            .collect(),
-    }
-}
-
-/// Wrap a tid-list class into the chunked-kernel representation: joins
-/// run the 8-wide unrolled block merge / chunked galloping kernels — the
-/// sparse side of `auto-density`.
-pub(crate) fn chunked_class(class: EquivalenceClass) -> EquivalenceClass<ChunkedList> {
-    EquivalenceClass {
-        prefix: class.prefix,
-        members: class
-            .members
-            .into_iter()
-            .map(|m| ClassMember {
-                itemset: m.itemset,
-                tids: ChunkedList(m.tids),
-            })
-            .collect(),
     }
 }
 
@@ -560,26 +526,7 @@ pub fn run(
     meter: &mut OpMeter,
     policy: &impl ExecutionPolicy,
 ) -> FrequentSet {
-    let threshold = minsup.count_threshold(db.num_transactions());
-    let mut out = FrequentSet::new();
-
-    // --- Phase 1 (initialization, §5.1): triangular counts of all pairs.
-    let tri = policy.count_pairs(db, meter);
-    let l2 = frequent_l2(&tri, threshold);
-
-    if cfg.include_singletons {
-        insert_frequent_singletons(db, threshold, meter, &mut out);
-    }
-    if l2.is_empty() {
-        return out;
-    }
-
-    // --- Phase 2 (transformation, §5.2.2): vertical tid-lists for L2.
-    let classes = vertical_classes(db, &l2, meter);
-
-    // --- Phase 3 (asynchronous, §5.3): per-class recursive mining.
-    policy.mine_classes(classes, threshold, cfg, meter, &mut out, &mut Vec::new());
-    out
+    run_stats(db, minsup, cfg, meter, policy, "").0
 }
 
 /// [`run`] that also produces the structured [`MiningStats`] report:
@@ -909,7 +856,14 @@ mod tests {
                 members: vec![],
             };
             let cfg = EclatConfig::with_representation(repr);
-            compute_class(empty, 1, &cfg, &mut OpMeter::new(), &mut out);
+            compute_class(
+                empty,
+                1,
+                &cfg,
+                &mut OpMeter::new(),
+                &mut out,
+                &mut KernelStats::new(),
+            );
             assert!(out.is_empty(), "{repr:?}");
         }
     }

@@ -3,7 +3,7 @@
 //! MaxEclat's frontier — must agree, under every config combination.
 
 use dbstore::HorizontalDb;
-use eclat::{EclatConfig, ScheduleHeuristic};
+use eclat::{EclatConfig, Representation, ScheduleHeuristic};
 use mining_types::{FrequentSet, MinSupport, OpMeter};
 use proptest::prelude::*;
 use questgen::{QuestGenerator, QuestParams};
@@ -132,4 +132,88 @@ fn support_monotonicity() {
         .map(|(is, s)| (is.clone(), s))
         .collect();
     assert_eq!(surviving, hi);
+}
+
+/// Every field of a meter, in declaration order.
+fn fields(m: &OpMeter) -> [u64; 6] {
+    [
+        m.tid_cmp,
+        m.hash_probe,
+        m.pair_incr,
+        m.subsets_gen,
+        m.cand_gen,
+        m.record,
+    ]
+}
+
+/// The simulated cluster prices every phase from `OpMeter`, so each
+/// representation's exact operation counts are part of the cost model:
+/// a kernel rewrite that keeps the output but moves a count moves every
+/// simulated second. Fields are `[tid_cmp, hash_probe, pair_incr,
+/// subsets_gen, cand_gen, record]`.
+#[test]
+fn op_counts_are_pinned() {
+    use Representation::{AutoSwitch, Bitmap, Diffset, TidList};
+    let db = quest(2_000, 42);
+    let minsup = MinSupport::from_percent(1.5);
+    // Every run meters the same scans and candidates; the joins' `tid_cmp`
+    // is what the representation moves.
+    let meter = |tid_cmp| [tid_cmp, 0, 122_300, 0, 8_631, 55_080];
+    // (representation, gallop, short_circuit, meter)
+    let pinned = [
+        (TidList, false, true, meter(754_589)),
+        (TidList, false, false, meter(1_131_031)),
+        (TidList, true, true, meter(1_131_031)),
+        (TidList, true, false, meter(1_131_031)),
+        (Diffset, false, true, meter(959_772)),
+        (Diffset, false, false, meter(1_356_080)),
+        (AutoSwitch { depth: 1 }, false, true, meter(770_075)),
+        (AutoSwitch { depth: 1 }, false, false, meter(1_144_940)),
+        (AutoSwitch { depth: 3 }, false, true, meter(762_543)),
+        (AutoSwitch { depth: 3 }, false, false, meter(1_139_030)),
+        (Bitmap, false, true, meter(275_649)),
+        (Bitmap, false, false, meter(275_649)),
+    ];
+    for (representation, gallop, short_circuit, expect) in pinned {
+        let cfg = EclatConfig {
+            representation,
+            gallop,
+            short_circuit,
+            ..Default::default()
+        };
+        let mut meter = OpMeter::new();
+        eclat::sequential::mine_with(&db, minsup, &cfg, &mut meter);
+        assert_eq!(
+            fields(&meter),
+            expect,
+            "{representation:?} gallop {gallop} sc {short_circuit}"
+        );
+    }
+
+    for (representation, expect) in [
+        (TidList, [734_949, 0, 122_300, 0, 7_284, 55_080]),
+        (Diffset, [1_008_900, 0, 122_300, 0, 7_284, 55_080]),
+    ] {
+        let mut meter = OpMeter::new();
+        let cfg = EclatConfig::with_representation(representation);
+        eclat::maximal::mine_maximal_with(&db, minsup, &cfg, &mut meter);
+        assert_eq!(fields(&meter), expect, "maximal {representation:?}");
+    }
+
+    // On a dense database every class takes auto-density's bitmap arm,
+    // so it meters exactly what plain bitmaps do.
+    let dense = HorizontalDb::from_transactions(
+        QuestGenerator::new(QuestParams::dense(1_500, 7)).generate_all(),
+    );
+    let minsup = MinSupport::from_percent(20.0);
+    for representation in [Representation::AutoDensity { permille: 8 }, Bitmap] {
+        let mut meter = OpMeter::new();
+        let cfg = EclatConfig::with_representation(representation);
+        eclat::sequential::mine_with(&dense, minsup, &cfg, &mut meter);
+        assert_eq!(
+            fields(&meter),
+            [47_559, 0, 190_012, 0, 1_983, 34_259],
+            "dense {representation:?}"
+        );
+    }
 }

@@ -15,7 +15,8 @@ use mining_types::ItemId;
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SeqDb {
     sequences: Vec<Vec<(u32, Vec<ItemId>)>>,
-    num_items: u32,
+    /// Every item that occurs, ascending and distinct.
+    items: Vec<ItemId>,
 }
 
 impl SeqDb {
@@ -23,8 +24,7 @@ impl SeqDb {
     /// events sorted by eid, same-eid events merged, items within an
     /// event sorted and deduplicated, empty events dropped.
     pub fn from_events(raw: Vec<Vec<(u32, Vec<u32>)>>) -> SeqDb {
-        let mut num_items = 0u32;
-        let sequences = raw
+        let sequences: Vec<Vec<(u32, Vec<ItemId>)>> = raw
             .into_iter()
             .map(|mut seq| {
                 seq.sort_by_key(|&(eid, _)| eid);
@@ -32,9 +32,6 @@ impl SeqDb {
                 for (eid, items) in seq {
                     if items.is_empty() {
                         continue;
-                    }
-                    for &i in &items {
-                        num_items = num_items.max(i + 1);
                     }
                     let items: Vec<ItemId> = items.into_iter().map(ItemId).collect();
                     match events.last_mut() {
@@ -50,10 +47,14 @@ impl SeqDb {
                 events
             })
             .collect();
-        SeqDb {
-            sequences,
-            num_items,
-        }
+        let mut items: Vec<ItemId> = sequences
+            .iter()
+            .flatten()
+            .flat_map(|(_, items)| items.iter().copied())
+            .collect();
+        items.sort_unstable();
+        items.dedup();
+        SeqDb { sequences, items }
     }
 
     /// Test/docs helper: one itemset slice per event, eids assigned
@@ -90,9 +91,17 @@ impl SeqDb {
             .sum()
     }
 
-    /// Upper bound on item ids (`max item + 1` over the input).
-    pub fn num_items(&self) -> u32 {
-        self.num_items
+    /// Alphabet bound, `max item + 1` over the input (`0` when empty).
+    /// It is reported, never allocated by: an id near `u32::MAX` makes it
+    /// about `2^32` while [`SeqDb::items`] still holds one entry.
+    pub fn num_items(&self) -> u64 {
+        self.items.last().map_or(0, |i| u64::from(i.0) + 1)
+    }
+
+    /// Every item that occurs in some event, ascending and distinct — what
+    /// per-item state is sized by.
+    pub fn items(&self) -> &[ItemId] {
+        &self.items
     }
 
     /// The sequences, sid-ascending; each a normalized event list.
@@ -148,6 +157,14 @@ mod tests {
             ]
         );
         assert_eq!(db.num_items(), 10);
+    }
+
+    #[test]
+    fn item_ids_never_size_anything() {
+        let db = SeqDb::from_events(vec![vec![(1, vec![u32::MAX, 0])], vec![(1, vec![1 << 31])]]);
+        assert_eq!(db.items(), &[ItemId(0), ItemId(1 << 31), ItemId(u32::MAX)]);
+        assert_eq!(db.num_items(), 1 << 32, "the bound does not wrap");
+        assert_eq!(SeqDb::of(&[]).num_items(), 0);
     }
 
     #[test]

@@ -113,20 +113,13 @@ fn extend_member(
      -> Option<PairSet> {
         meter.cand_gen += 1;
         stats.record_candidate(child_len);
-        let joined = match (cfg.short_circuit, temporal) {
-            (true, true) => m
-                .pairs
-                .temporal_join_bounded_metered(&sib.pairs, threshold, meter),
-            (true, false) => m.pairs.join_bounded_metered(&sib.pairs, threshold, meter),
-            (false, temporal) => {
-                let full = if temporal {
-                    m.pairs.temporal_join_metered(&sib.pairs, meter)
-                } else {
-                    m.pairs.join_metered(&sib.pairs, meter)
-                };
-                (full.support() >= threshold).then_some(full)
-            }
-        };
+        let bound = cfg.short_circuit.then_some(threshold);
+        let joined = if temporal {
+            m.pairs.temporal_join(&sib.pairs, bound, meter)
+        } else {
+            m.pairs.join(&sib.pairs, bound, meter)
+        }
+        .filter(|p| p.support() >= threshold);
         if joined.is_none() {
             stats.record_infrequent(cfg.short_circuit);
         } else {

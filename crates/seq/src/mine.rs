@@ -57,15 +57,19 @@ impl ClassSpec {
 }
 
 /// Frequent-1 scan: distinct sids per item, one stamp pass per sequence.
+/// Counters are indexed by the item's rank among the items that occur
+/// ([`SeqDb::items`]), never by its value.
 fn count_items(db: &SeqDb, threshold: u32, meter: &mut OpMeter) -> Vec<(ItemId, u32)> {
-    let n = db.num_items() as usize;
-    let mut counts = vec![0u32; n];
-    let mut stamp = vec![0u32; n];
+    let alphabet = db.items();
+    let mut counts = vec![0u32; alphabet.len()];
+    let mut stamp = vec![0u32; alphabet.len()];
     for (sid, seq) in db.sequences().iter().enumerate() {
         let mark = sid as u32 + 1;
         for (_, items) in seq {
-            for &item in items {
-                let slot = item.0 as usize;
+            for item in items {
+                let slot = alphabet
+                    .binary_search(item)
+                    .expect("every item of the database is in its alphabet");
                 if stamp[slot] != mark {
                     stamp[slot] = mark;
                     counts[slot] += 1;
@@ -74,12 +78,17 @@ fn count_items(db: &SeqDb, threshold: u32, meter: &mut OpMeter) -> Vec<(ItemId, 
             }
         }
     }
-    counts
-        .into_iter()
-        .enumerate()
+    alphabet
+        .iter()
+        .zip(counts)
         .filter(|&(_, c)| c >= threshold)
-        .map(|(i, c)| (ItemId(i as u32), c))
+        .map(|(&item, c)| (item, c))
         .collect()
+}
+
+/// Index of `item` among the frequent items (ascending), if frequent.
+fn frequent_index(items: &[(ItemId, u32)], item: ItemId) -> Option<usize> {
+    items.binary_search_by_key(&item, |&(i, _)| i).ok()
 }
 
 /// Frequent-2 scan over the frequent items, counting each sid once per
@@ -92,10 +101,6 @@ fn count_l2(
     meter: &mut OpMeter,
 ) -> InitCounts {
     let k = items.len();
-    let mut imap = vec![usize::MAX; db.num_items() as usize];
-    for (fi, &(item, _)) in items.iter().enumerate() {
-        imap[item.0 as usize] = fi;
-    }
     let mut i_counts = vec![0u32; k * k]; // x < y at x*k + y
     let mut i_stamp = vec![0u32; k * k];
     let mut s_counts = vec![0u32; k * k]; // x → y at x*k + y
@@ -110,10 +115,9 @@ fn count_l2(
         for &(eid, ref evt_items) in seq {
             event_fidx.clear();
             for &item in evt_items {
-                let fi = imap[item.0 as usize];
-                if fi == usize::MAX {
+                let Some(fi) = frequent_index(items, item) else {
                     continue;
-                }
+                };
                 event_fidx.push(fi);
                 if item_stamp[fi] != mark {
                     item_stamp[fi] = mark;
@@ -123,7 +127,7 @@ fn count_l2(
                 max_eid[fi] = eid;
             }
             // I-candidates: frequent item pairs sharing this event
-            // (event items ascend, and imap preserves order).
+            // (event items ascend, and so do their frequent indices).
             for a in 0..event_fidx.len() {
                 for b in a + 1..event_fidx.len() {
                     let cell = event_fidx[a] * k + event_fidx[b];
@@ -174,16 +178,11 @@ fn count_l2(
 /// Transformation scan: every frequent item's `(sid, eid)` occurrence
 /// list, sorted by construction (sids then eids ascend).
 fn build_item_lists(db: &SeqDb, items: &[(ItemId, u32)], meter: &mut OpMeter) -> Vec<PairSet> {
-    let mut imap = vec![usize::MAX; db.num_items() as usize];
-    for (fi, &(item, _)) in items.iter().enumerate() {
-        imap[item.0 as usize] = fi;
-    }
     let mut lists: Vec<Vec<(u32, u32)>> = vec![Vec::new(); items.len()];
     for (sid, seq) in db.sequences().iter().enumerate() {
         for &(eid, ref evt_items) in seq {
             for &item in evt_items {
-                let fi = imap[item.0 as usize];
-                if fi != usize::MAX {
+                if let Some(fi) = frequent_index(items, item) {
                     lists[fi].push((sid as u32, eid));
                     meter.record += 1;
                 }
@@ -215,7 +214,9 @@ fn mine_class(
             kind: AtomKind::Itemset,
             item: y,
             pattern: prefix.i_extend(y),
-            pairs: lx.join_metered(&lists[yi], meter),
+            pairs: lx
+                .join(&lists[yi], None, meter)
+                .expect("unbounded join always completes"),
         });
     }
     for &yi in &spec.s_partners {
@@ -224,7 +225,9 @@ fn mine_class(
             kind: AtomKind::Sequence,
             item: y,
             pattern: prefix.s_extend(y),
-            pairs: lx.temporal_join_metered(&lists[yi], meter),
+            pairs: lx
+                .temporal_join(&lists[yi], None, meter)
+                .expect("unbounded join always completes"),
         });
     }
     for m in &members {
@@ -287,7 +290,7 @@ pub fn mine_stats(
     let span_init = eclat_obs::trace::span(PHASE_INIT);
     let t_init = Instant::now();
     let items = count_items(db, threshold, meter);
-    stats.record_level(1, u64::from(db.num_items()), items.len() as u64);
+    stats.record_level(1, db.num_items(), items.len() as u64);
     let init = count_l2(db, &items, threshold, meter);
     stats.record_level(2, init.l2_candidates, init.l2_frequent);
     for &(item, support) in &init.items {

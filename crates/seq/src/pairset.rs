@@ -10,15 +10,14 @@
 //!
 //! * **I-extension** (itemset join, same element) is an exact
 //!   `(sid, eid)` intersection — structurally the same sorted merge as
-//!   a tid-list intersection, so [`PairSet`] implements the workspace's
-//!   [`TidSet`] surface with it: `join`/`join_bounded`/metered variants,
+//!   a tid-list intersection, so it is [`PairSet`]'s [`TidSet::join`],
 //!   §5.3 minsup bail included.
 //! * **S-extension** (temporal join) is the inherent
-//!   [`temporal_join`](PairSet::temporal_join) family: keep the pairs of
-//!   the extending atom that occur *strictly after* the earliest
-//!   occurrence of the prefix atom in the same sequence.
+//!   [`temporal_join`](PairSet::temporal_join): keep the pairs of the
+//!   extending atom that occur *strictly after* the earliest occurrence
+//!   of the prefix atom in the same sequence.
 //!
-//! Both bounded forms bail as soon as
+//! Both take an optional `minsup` and bail as soon as
 //! `matched_sids + min(remaining_a, remaining_b) < minsup` — remaining
 //! pairs bound remaining distinct sids from above, so the bail is
 //! conservative and the `None` ⇔ infrequent contract holds exactly.
@@ -78,52 +77,19 @@ impl PairSet {
         self.pairs.is_empty()
     }
 
-    /// I-extension join core: exact `(sid, eid)` intersection, bailing
-    /// per the module rule. `minsup == 0` disables the bound (plain
-    /// join); comparisons land in `meter.tid_cmp`.
-    fn eq_join_impl(&self, other: &PairSet, minsup: u32, meter: &mut OpMeter) -> Option<PairSet> {
-        let (a, b) = (&self.pairs, &other.pairs);
-        let mut out: Vec<(u32, u32)> = Vec::new();
-        let mut support = 0u32;
-        let mut last_sid = None;
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < a.len() && j < b.len() {
-            let headroom = support as usize + (a.len() - i).min(b.len() - j);
-            if headroom < minsup as usize {
-                return None;
-            }
-            meter.tid_cmp += 1;
-            match a[i].cmp(&b[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    let (sid, eid) = a[i];
-                    if last_sid != Some(sid) {
-                        support += 1;
-                        last_sid = Some(sid);
-                    }
-                    out.push((sid, eid));
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        (support >= minsup).then_some(PairSet {
-            pairs: out,
-            support,
-        })
-    }
-
-    /// S-extension join core: for every sid shared with `other`, keep
-    /// `other`'s occurrences strictly after this set's earliest
-    /// occurrence in that sid. Bail/metering as in
-    /// [`eq_join_impl`](Self::eq_join_impl).
-    fn temporal_join_impl(
+    /// Temporal (S-extension) join: for every sid shared with `other`,
+    /// keep `other`'s occurrences strictly after this set's earliest
+    /// occurrence in that sid. With `minsup = Some(s)` it bails per the
+    /// module rule and returns `None` exactly when the result's support is
+    /// below `s`; with `None` it always completes. Comparisons land in
+    /// `meter.tid_cmp`.
+    pub fn temporal_join(
         &self,
         other: &PairSet,
-        minsup: u32,
+        minsup: Option<u32>,
         meter: &mut OpMeter,
     ) -> Option<PairSet> {
+        let minsup = minsup.unwrap_or(0);
         let (a, b) = (&self.pairs, &other.pairs);
         let mut out: Vec<(u32, u32)> = Vec::new();
         let mut support = 0u32;
@@ -165,36 +131,6 @@ impl PairSet {
             support,
         })
     }
-
-    /// Temporal (S-extension) join: occurrences of `other` strictly
-    /// after this set's earliest same-sid occurrence.
-    pub fn temporal_join(&self, other: &PairSet) -> PairSet {
-        self.temporal_join_impl(other, 0, &mut OpMeter::new())
-            .expect("minsup 0 never bails")
-    }
-
-    /// [`temporal_join`](Self::temporal_join), abandoning with `None`
-    /// exactly when the result's support is below `minsup` (§5.3).
-    pub fn temporal_join_bounded(&self, other: &PairSet, minsup: u32) -> Option<PairSet> {
-        self.temporal_join_bounded_metered(other, minsup, &mut OpMeter::new())
-    }
-
-    /// [`temporal_join`](Self::temporal_join) with comparison metering.
-    pub fn temporal_join_metered(&self, other: &PairSet, meter: &mut OpMeter) -> PairSet {
-        self.temporal_join_impl(other, 0, meter)
-            .expect("minsup 0 never bails")
-    }
-
-    /// [`temporal_join_bounded`](Self::temporal_join_bounded) with
-    /// comparison metering.
-    pub fn temporal_join_bounded_metered(
-        &self,
-        other: &PairSet,
-        minsup: u32,
-        meter: &mut OpMeter,
-    ) -> Option<PairSet> {
-        self.temporal_join_impl(other, minsup, meter)
-    }
 }
 
 impl TidSet for PairSet {
@@ -206,22 +142,40 @@ impl TidSet for PairSet {
         (self.pairs.len() * std::mem::size_of::<(u32, u32)>()) as u64
     }
 
-    fn join(&self, other: &Self) -> Self {
-        self.eq_join_impl(other, 0, &mut OpMeter::new())
-            .expect("minsup 0 never bails")
-    }
-
-    fn join_bounded(&self, other: &Self, minsup: u32) -> Option<Self> {
-        self.eq_join_impl(other, minsup, &mut OpMeter::new())
-    }
-
-    fn join_metered(&self, other: &Self, meter: &mut OpMeter) -> Self {
-        self.eq_join_impl(other, 0, meter)
-            .expect("minsup 0 never bails")
-    }
-
-    fn join_bounded_metered(&self, other: &Self, minsup: u32, meter: &mut OpMeter) -> Option<Self> {
-        self.eq_join_impl(other, minsup, meter)
+    /// I-extension join: exact `(sid, eid)` intersection, bailing per the
+    /// module rule when `minsup` is set.
+    fn join(&self, other: &Self, minsup: Option<u32>, meter: &mut OpMeter) -> Option<Self> {
+        let minsup = minsup.unwrap_or(0);
+        let (a, b) = (&self.pairs, &other.pairs);
+        let mut out: Vec<(u32, u32)> = Vec::new();
+        let mut support = 0u32;
+        let mut last_sid = None;
+        let (mut i, mut j) = (0usize, 0usize);
+        while i < a.len() && j < b.len() {
+            let headroom = support as usize + (a.len() - i).min(b.len() - j);
+            if headroom < minsup as usize {
+                return None;
+            }
+            meter.tid_cmp += 1;
+            match a[i].cmp(&b[j]) {
+                std::cmp::Ordering::Less => i += 1,
+                std::cmp::Ordering::Greater => j += 1,
+                std::cmp::Ordering::Equal => {
+                    let (sid, eid) = a[i];
+                    if last_sid != Some(sid) {
+                        support += 1;
+                        last_sid = Some(sid);
+                    }
+                    out.push((sid, eid));
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        (support >= minsup).then_some(PairSet {
+            pairs: out,
+            support,
+        })
     }
 }
 
@@ -231,6 +185,14 @@ mod tests {
 
     fn ps(pairs: &[(u32, u32)]) -> PairSet {
         PairSet::new(pairs.to_vec())
+    }
+
+    fn eq(a: &PairSet, b: &PairSet) -> PairSet {
+        a.join(b, None, &mut OpMeter::new()).unwrap()
+    }
+
+    fn temporal(a: &PairSet, b: &PairSet) -> PairSet {
+        a.temporal_join(b, None, &mut OpMeter::new()).unwrap()
     }
 
     #[test]
@@ -252,7 +214,7 @@ mod tests {
     fn equality_join_intersects_exact_pairs() {
         let a = ps(&[(0, 1), (0, 3), (1, 2), (3, 5)]);
         let b = ps(&[(0, 3), (1, 2), (1, 4), (3, 6)]);
-        let j = a.join(&b);
+        let j = eq(&a, &b);
         assert_eq!(j.pairs(), &[(0, 3), (1, 2)]);
         assert_eq!(j.support(), 2);
     }
@@ -261,7 +223,7 @@ mod tests {
     fn temporal_join_keeps_strictly_later_events() {
         let a = ps(&[(0, 2), (1, 5), (2, 1)]);
         let b = ps(&[(0, 1), (0, 2), (0, 4), (1, 5), (2, 3), (3, 1)]);
-        let j = a.temporal_join(&b);
+        let j = temporal(&a, &b);
         // sid 0: earliest a-event is 2, so only eid 4 qualifies;
         // sid 1: b's only event (5) is not strictly after 5;
         // sid 2: 3 > 1 qualifies; sid 3 is absent from a.
@@ -273,47 +235,48 @@ mod tests {
     fn temporal_join_is_directional() {
         let a = ps(&[(0, 1)]);
         let b = ps(&[(0, 2)]);
-        assert_eq!(a.temporal_join(&b).pairs(), &[(0, 2)]);
-        assert!(b.temporal_join(&a).is_empty());
+        assert_eq!(temporal(&a, &b).pairs(), &[(0, 2)]);
+        assert!(temporal(&b, &a).is_empty());
     }
 
     #[test]
     fn bounded_joins_are_none_iff_infrequent() {
         let a = ps(&[(0, 1), (1, 1), (2, 9), (3, 1)]);
         let b = ps(&[(0, 1), (1, 3), (2, 2), (4, 1)]);
+        let m = &mut OpMeter::new();
         for minsup in 0..=5u32 {
-            let eq = a.join(&b);
+            let full = eq(&a, &b);
+            let bounded = a.join(&b, Some(minsup), m);
             assert_eq!(
-                a.join_bounded(&b, minsup).is_some(),
-                eq.support() >= minsup,
+                bounded.is_some(),
+                full.support() >= minsup,
                 "eq minsup={minsup}"
             );
-            if let Some(j) = a.join_bounded(&b, minsup) {
-                assert_eq!(j, eq);
+            if let Some(j) = bounded {
+                assert_eq!(j, full);
             }
-            let tj = a.temporal_join(&b);
+            let full = temporal(&a, &b);
+            let bounded = a.temporal_join(&b, Some(minsup), m);
             assert_eq!(
-                a.temporal_join_bounded(&b, minsup).is_some(),
-                tj.support() >= minsup,
+                bounded.is_some(),
+                full.support() >= minsup,
                 "temporal minsup={minsup}"
             );
-            if let Some(j) = a.temporal_join_bounded(&b, minsup) {
-                assert_eq!(j, tj);
+            if let Some(j) = bounded {
+                assert_eq!(j, full);
             }
         }
     }
 
     #[test]
-    fn metered_joins_count_comparisons() {
+    fn joins_count_comparisons() {
         let a = ps(&[(0, 1), (1, 1), (2, 9)]);
         let b = ps(&[(0, 1), (1, 3), (2, 2)]);
         let mut m = OpMeter::new();
-        let j = a.join_metered(&b, &mut m);
-        assert_eq!(j, a.join(&b));
+        a.join(&b, None, &mut m);
         assert!(m.tid_cmp > 0);
         let mut m2 = OpMeter::new();
-        let t = a.temporal_join_metered(&b, &mut m2);
-        assert_eq!(t, a.temporal_join(&b));
+        a.temporal_join(&b, None, &mut m2);
         assert!(m2.tid_cmp > 0);
     }
 
@@ -321,7 +284,7 @@ mod tests {
     fn temporal_self_join_finds_repeats() {
         // sid 0 sees the item at events 1 and 4 → one repeat occurrence.
         let a = ps(&[(0, 1), (0, 4), (1, 2)]);
-        let j = a.temporal_join(&a);
+        let j = temporal(&a, &a);
         assert_eq!(j.pairs(), &[(0, 4)]);
         assert_eq!(j.support(), 1);
     }

@@ -12,6 +12,7 @@ use crate::db::SeqDb;
 use crate::kernel::FrequentSequences;
 use crate::pattern::SeqPattern;
 use mining_types::{ItemId, MinSupport};
+use std::collections::BTreeSet;
 
 /// True when `pattern` is contained in the (normalized) event list of
 /// one sequence: elements match whole events, in order, at strictly
@@ -48,13 +49,20 @@ pub fn mine_reference(db: &SeqDb, minsup: MinSupport, maxlen: Option<u32>) -> Fr
     if maxlen == Some(0) {
         return out;
     }
+    // The items that occur, by a scan of this miner's own.
+    let alphabet: BTreeSet<ItemId> = db
+        .sequences()
+        .iter()
+        .flatten()
+        .flat_map(|(_, items)| items.iter().copied())
+        .collect();
     let mut items: Vec<ItemId> = Vec::new();
     let mut level: Vec<SeqPattern> = Vec::new();
-    for i in 0..db.num_items() {
-        let p = SeqPattern::single(ItemId(i));
+    for i in alphabet {
+        let p = SeqPattern::single(i);
         let s = support_of(db, &p);
         if s >= threshold {
-            items.push(ItemId(i));
+            items.push(i);
             level.push(p.clone());
             out.insert(p, s);
         }

@@ -58,7 +58,7 @@ impl SeqStats {
             sequences: db.num_sequences() as u64,
             events: db.num_events() as u64,
             item_occurrences: db.num_item_occurrences() as u64,
-            distinct_items: u64::from(db.num_items()),
+            distinct_items: db.num_items(),
             maxlen: u64::from(cfg.maxlen.unwrap_or(0)),
             frequent: result.len() as u64,
             by_len,

@@ -83,6 +83,18 @@ fn fixed_seed_run_is_pinned() {
         .map(|l| l.frequent)
         .unwrap_or(0);
     insta_like_pin(golden_len, golden_deepest, golden_l1 as usize);
+    assert_eq!(
+        stats.total_ops,
+        OpMeter {
+            tid_cmp: 318_147,
+            hash_probe: 0,
+            pair_incr: 24_730,
+            subsets_gen: 0,
+            cand_gen: 3_519,
+            record: 4_234,
+        },
+        "SPADE op counts moved"
+    );
 
     // And the cap agrees with post-filtering the full result.
     let cfg = SeqConfig {

@@ -9,10 +9,13 @@ use eclat_seq::{mine, mine_with, reference, SeqConfig, SeqDb};
 use mining_types::{MinSupport, OpMeter};
 use proptest::prelude::*;
 
+/// Sequences of `(eid, items)` events, as a loader hands them over.
+type RawDb = Vec<Vec<(u32, Vec<u32>)>>;
+
 /// Random sequence database: up to 14 sequences of up to 8 events over
 /// a 10-item alphabet. Events are normalized (sorted, deduped) and
 /// empty events dropped, matching what a real loader produces.
-fn raw_db() -> impl Strategy<Value = Vec<Vec<(u32, Vec<u32>)>>> {
+fn raw_db() -> impl Strategy<Value = RawDb> {
     proptest::collection::vec(
         proptest::collection::vec(proptest::collection::vec(0u32..10, 1..4), 0..8),
         0..14,
@@ -92,5 +95,35 @@ proptest! {
         for (p, &s) in &fs {
             prop_assert_eq!(reference::support_of(&db, p), s, "{}", p);
         }
+    }
+}
+
+/// Item *values* size nothing: the shape of a 36-byte `.ecs` file whose
+/// one sequence holds one event with the single item `u32::MAX`, plus ids
+/// near `2^31` next to small ones, mine exactly as the reference says.
+#[test]
+fn spade_matches_the_reference_miner_on_extreme_item_ids() {
+    let inputs: [(RawDb, f64); 3] = [
+        (vec![vec![(1, vec![u32::MAX])]], 50.0),
+        (
+            vec![
+                vec![(1, vec![0, 1 << 31]), (2, vec![u32::MAX])],
+                vec![(1, vec![1 << 31]), (5, vec![0, u32::MAX])],
+                vec![(3, vec![u32::MAX - 1, u32::MAX])],
+            ],
+            30.0,
+        ),
+        (vec![vec![(1, vec![7])], vec![(1, vec![u32::MAX])]], 100.0),
+    ];
+    for (raw, pct) in inputs {
+        let db = SeqDb::from_events(raw);
+        let minsup = MinSupport::from_percent(pct);
+        let spade = mine(&db, minsup, &Serial);
+        assert_eq!(
+            spade,
+            reference::mine_reference(&db, minsup, None),
+            "{db:?}"
+        );
+        assert!(!spade.is_empty() || pct == 100.0, "{db:?} mined nothing");
     }
 }

@@ -308,7 +308,9 @@ impl StreamEngine {
                 }
                 let ta = self.vertical.tidlist(ItemId(a));
                 for &(b, support, _) in members {
-                    let tl = ta.intersect_metered(self.vertical.tidlist(b), &mut self.meter);
+                    let tl = ta
+                        .intersect(self.vertical.tidlist(b), None, &mut self.meter)
+                        .expect("unbounded intersection always completes");
                     debug_assert_eq!(tl.support(), support, "triangle and tid-lists agree");
                     dirty_pairs.push((ItemId(a), b, tl));
                 }

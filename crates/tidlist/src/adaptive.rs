@@ -20,8 +20,8 @@
 //! the same prefix, `t ∩ t(other) = t − d.diff`.
 
 use crate::diffset::DiffSet;
-use crate::set::TidSet;
-use crate::{IntersectOutcome, TidList};
+use crate::set::{meets, TidSet};
+use crate::TidList;
 use mining_types::OpMeter;
 
 /// Vertical representation that switches from tid-lists to diffsets after
@@ -52,30 +52,6 @@ impl AdaptiveSet {
     }
 }
 
-/// Both operands of a join. The class invariant makes same-representation
-/// pairs the common case; mixed pairs are legal (look-ahead folds mix
-/// depths) and resolve exactly via the shared prefix.
-enum Pair<'a> {
-    Tids(&'a TidList, &'a TidList, u32),
-    Diffs(&'a DiffSet, &'a DiffSet),
-    /// One tid-list operand, one diffset operand, both over the same
-    /// class prefix `P`. Because `t ⊆ t(P)` and
-    /// `t(other) = t(P) − d.diff`, the join is exactly `t − d.diff` —
-    /// for either operand order. Carries the tid side's fuel.
-    Mixed(&'a TidList, u32, &'a DiffSet),
-}
-
-fn pair<'a>(a: &'a AdaptiveSet, b: &'a AdaptiveSet) -> Pair<'a> {
-    match (a, b) {
-        (AdaptiveSet::Tids { tids: ta, fuel }, AdaptiveSet::Tids { tids: tb, .. }) => {
-            Pair::Tids(ta, tb, *fuel)
-        }
-        (AdaptiveSet::Diff(da), AdaptiveSet::Diff(db)) => Pair::Diffs(da, db),
-        (AdaptiveSet::Tids { tids, fuel }, AdaptiveSet::Diff(d))
-        | (AdaptiveSet::Diff(d), AdaptiveSet::Tids { tids, fuel }) => Pair::Mixed(tids, *fuel, d),
-    }
-}
-
 /// Fold accumulator: tracks the representation *per join depth* so a
 /// `TidList ∩ TidList` step, a `TidList → DiffSet` conversion step, and a
 /// `DiffSet` difference step can mix in one look-ahead fold.
@@ -87,30 +63,89 @@ enum Acc {
     /// so the candidate's tids are `base − diff`.
     Based { base: TidList, diff: TidList },
     /// `self` started in diffset form `d(Px₁)`: `diff` accumulates
-    /// `∪ (d(Px_j) − d(Px₁))`, i.e. the candidate's diff relative to
-    /// `Px₁` (cf. `DiffSet::fold_join_with`).
+    /// `∪ (d(Px_j) − d(Px₁))`, i.e. the candidate's diff relative to `Px₁`.
     Rel { diff: TidList },
 }
 
-impl AdaptiveSet {
-    /// Multi-way look-ahead fold with per-depth representation tracking.
-    ///
-    /// Folds `self` with every member of `rest` (same-class siblings in
-    /// member order) and returns the representation of the full union, or
-    /// `None` exactly when `minsup = Some(s)` and the union's support is
-    /// below `s` (§5.3 short-circuit applied per step). Each fold step
-    /// burns one unit of fuel, matching the pairwise join semantics: a
-    /// member with fuel `f` converts to diffset form at step `f + 1`.
-    pub fn fold_with(
-        &self,
-        rest: &[&AdaptiveSet],
-        minsup: Option<u32>,
-        meter: &mut OpMeter,
-    ) -> Option<AdaptiveSet> {
-        if let Some(s) = minsup {
-            if self.support() < s {
-                return None;
+/// `a − b` without a budget, which never bails.
+fn minus(a: &TidList, b: &TidList, meter: &mut OpMeter) -> TidList {
+    a.difference(b, None, meter)
+        .expect("unbounded difference always completes")
+}
+
+impl TidSet for AdaptiveSet {
+    fn support(&self) -> u32 {
+        match self {
+            AdaptiveSet::Tids { tids, .. } => tids.support(),
+            AdaptiveSet::Diff(d) => d.support,
+        }
+    }
+
+    fn byte_size(&self) -> u64 {
+        match self {
+            AdaptiveSet::Tids { tids, .. } => tids.byte_size(),
+            AdaptiveSet::Diff(d) => d.byte_size(),
+        }
+    }
+
+    /// Same-representation pairs are the class invariant's common case:
+    /// a tid-list intersection while fuel lasts, the conversion at zero
+    /// fuel, and a diffset join after it. Mixed pairs are legal (look-ahead
+    /// folds mix depths) and resolve exactly via the shared prefix `P`:
+    /// because `t ⊆ t(P)` and `t(other) = t(P) − d.diff`, the join is
+    /// `t − d.diff` for either operand order, burning the tid side's fuel.
+    fn join(&self, other: &Self, minsup: Option<u32>, meter: &mut OpMeter) -> Option<Self> {
+        match (self, other) {
+            (AdaptiveSet::Tids { tids: ta, fuel }, AdaptiveSet::Tids { tids: tb, .. })
+                if *fuel > 0 =>
+            {
+                ta.intersect(tb, minsup, meter)
+                    .map(|tids| AdaptiveSet::Tids {
+                        tids,
+                        fuel: fuel - 1,
+                    })
             }
+            (AdaptiveSet::Tids { tids: ta, .. }, AdaptiveSet::Tids { tids: tb, .. }) => {
+                DiffSet::from_tidlists(ta, tb, minsup, meter).map(AdaptiveSet::Diff)
+            }
+            (AdaptiveSet::Diff(da), AdaptiveSet::Diff(db)) => {
+                da.join(db, minsup, meter).map(AdaptiveSet::Diff)
+            }
+            (AdaptiveSet::Tids { tids, fuel }, AdaptiveSet::Diff(d))
+            | (AdaptiveSet::Diff(d), AdaptiveSet::Tids { tids, fuel }) => {
+                let tids = minus(tids, &d.diff, meter);
+                meets(tids.support(), minsup).then(|| AdaptiveSet::Tids {
+                    tids,
+                    fuel: fuel.saturating_sub(1),
+                })
+            }
+        }
+    }
+
+    fn is_switched(&self) -> bool {
+        self.is_diffset()
+    }
+
+    /// Multi-way look-ahead fold with per-depth representation tracking.
+    /// The pairwise default cannot do this (it would pair a converted
+    /// accumulator with unconverted siblings), so each fold step burns one
+    /// unit of fuel, matching the pairwise join semantics: a member with
+    /// fuel `f` converts to diffset form at step `f + 1`.
+    ///
+    /// A diffset `self` uses the multi-way union identity, which keeps
+    /// every operand relative to the shared prefix `P` (chaining pairwise
+    /// diffset joins would subtract sets relative to different prefixes):
+    ///
+    /// ```text
+    /// d(Px₁x₂…x_k) rel Px₁ = ∪ (d(Px_j) − d(Px₁))
+    /// support(Px₁…x_k)     = support(Px₁) − |d(Px₁…x_k)|
+    /// ```
+    ///
+    /// Unions only grow, so with `minsup = Some(s)` the fold bails as soon
+    /// as the accumulated diffset proves the union below `s` (§5.3).
+    fn fold_join(&self, rest: &[&Self], minsup: Option<u32>, meter: &mut OpMeter) -> Option<Self> {
+        if !meets(self.support(), minsup) {
+            return None;
         }
         if rest.is_empty() {
             // Zero joins leave the operand unchanged.
@@ -134,39 +169,26 @@ impl AdaptiveSet {
         // underflow.
         for &m in rest {
             acc = match (acc, m) {
-                (Acc::Tids { tids, fuel }, AdaptiveSet::Tids { tids: tm, .. }) => {
-                    if fuel > 0 {
-                        let joined = match minsup {
-                            Some(s) => match tids.intersect_bounded_metered(tm, s, meter) {
-                                IntersectOutcome::Frequent(t) => t,
-                                IntersectOutcome::Infrequent => return None,
-                            },
-                            None => tids.intersect_metered(tm, meter),
-                        };
-                        Acc::Tids {
-                            tids: joined,
-                            fuel: fuel - 1,
-                        }
-                    } else {
-                        // Conversion step: the join at zero fuel produces
-                        // a diffset relative to the accumulator itself.
-                        let d = match minsup {
-                            Some(s) => DiffSet::from_tidlists_bounded_metered(&tids, tm, s, meter)?,
-                            None => DiffSet::from_tidlists_metered(&tids, tm, meter),
-                        };
-                        Acc::Based {
-                            base: tids,
-                            diff: d.diff,
-                        }
+                (Acc::Tids { tids, fuel }, AdaptiveSet::Tids { tids: tm, .. }) if fuel > 0 => {
+                    Acc::Tids {
+                        tids: tids.intersect(tm, minsup, meter)?,
+                        fuel: fuel - 1,
+                    }
+                }
+                (Acc::Tids { tids, .. }, AdaptiveSet::Tids { tids: tm, .. }) => {
+                    // Conversion step: the join at zero fuel produces a
+                    // diffset relative to the accumulator itself.
+                    let d = DiffSet::from_tidlists(&tids, tm, minsup, meter)?;
+                    Acc::Based {
+                        base: tids,
+                        diff: d.diff,
                     }
                 }
                 (Acc::Tids { tids, fuel }, AdaptiveSet::Diff(dm)) => {
                     // Mixed step: t ⊆ t(P) ⟹ t ∩ t(other) = t − d(other).
-                    let t = tids.difference_metered(&dm.diff, meter);
-                    if let Some(s) = minsup {
-                        if t.support() < s {
-                            return None;
-                        }
+                    let t = minus(&tids, &dm.diff, meter);
+                    if !meets(t.support(), minsup) {
+                        return None;
                     }
                     Acc::Tids {
                         tids: t,
@@ -178,14 +200,14 @@ impl AdaptiveSet {
                     // removes base ∖ t_m (tid side) or base ∩ d_m (diff
                     // side) — unions only grow, so the §5.3 bail is sound.
                     let contrib = match m {
-                        AdaptiveSet::Tids { tids: tm, .. } => base.difference_metered(tm, meter),
-                        AdaptiveSet::Diff(dm) => base.intersect_metered(&dm.diff, meter),
+                        AdaptiveSet::Tids { tids: tm, .. } => minus(&base, tm, meter),
+                        AdaptiveSet::Diff(dm) => base
+                            .intersect(&dm.diff, None, meter)
+                            .expect("unbounded intersection always completes"),
                     };
-                    let diff = diff.union_metered(&contrib, meter);
-                    if let Some(s) = minsup {
-                        if diff.support() > base.support() - s {
-                            return None;
-                        }
+                    let diff = diff.union(&contrib, meter);
+                    if minsup.is_some_and(|s| diff.support() > base.support() - s) {
+                        return None;
                     }
                     Acc::Based { base, diff }
                 }
@@ -193,25 +215,19 @@ impl AdaptiveSet {
                     let d1 = d1.expect("Rel accumulator implies diffset self");
                     match m {
                         AdaptiveSet::Diff(dm) => {
-                            let contrib = dm.diff.difference_metered(&d1.diff, meter);
-                            let diff = diff.union_metered(&contrib, meter);
-                            if let Some(s) = minsup {
-                                if diff.len() > (d1.support - s) as usize {
-                                    return None;
-                                }
+                            let contrib = minus(&dm.diff, &d1.diff, meter);
+                            let diff = diff.union(&contrib, meter);
+                            if minsup.is_some_and(|s| diff.len() > (d1.support - s) as usize) {
+                                return None;
                             }
                             Acc::Rel { diff }
                         }
                         AdaptiveSet::Tids { tids: tm, .. } => {
                             // Demote to tid form:
                             // t(C ∪ x) = t_m − d(Px₁) − acc_diff.
-                            let t = tm
-                                .difference_metered(&d1.diff, meter)
-                                .difference_metered(&diff, meter);
-                            if let Some(s) = minsup {
-                                if t.support() < s {
-                                    return None;
-                                }
+                            let t = minus(&minus(tm, &d1.diff, meter), &diff, meter);
+                            if !meets(t.support(), minsup) {
+                                return None;
                             }
                             Acc::Tids { tids: t, fuel: 0 }
                         }
@@ -236,138 +252,21 @@ impl AdaptiveSet {
     }
 }
 
-impl TidSet for AdaptiveSet {
-    fn support(&self) -> u32 {
-        match self {
-            AdaptiveSet::Tids { tids, .. } => tids.support(),
-            AdaptiveSet::Diff(d) => d.support,
-        }
-    }
-
-    fn byte_size(&self) -> u64 {
-        match self {
-            AdaptiveSet::Tids { tids, .. } => tids.byte_size(),
-            AdaptiveSet::Diff(d) => d.byte_size(),
-        }
-    }
-
-    fn join(&self, other: &Self) -> Self {
-        match pair(self, other) {
-            Pair::Tids(ta, tb, fuel) if fuel > 0 => AdaptiveSet::Tids {
-                tids: ta.intersect(tb),
-                fuel: fuel - 1,
-            },
-            Pair::Tids(ta, tb, _) => AdaptiveSet::Diff(DiffSet::from_tidlists(ta, tb)),
-            Pair::Diffs(da, db) => AdaptiveSet::Diff(da.join(db)),
-            Pair::Mixed(t, fuel, d) => AdaptiveSet::Tids {
-                tids: t.difference(&d.diff),
-                fuel: fuel.saturating_sub(1),
-            },
-        }
-    }
-
-    fn join_bounded(&self, other: &Self, minsup: u32) -> Option<Self> {
-        match pair(self, other) {
-            Pair::Tids(ta, tb, fuel) if fuel > 0 => ta
-                .intersect_bounded(tb, minsup)
-                .into_frequent()
-                .map(|tids| AdaptiveSet::Tids {
-                    tids,
-                    fuel: fuel - 1,
-                }),
-            Pair::Tids(ta, tb, _) => {
-                DiffSet::from_tidlists_bounded(ta, tb, minsup).map(AdaptiveSet::Diff)
-            }
-            Pair::Diffs(da, db) => da.join_bounded(db, minsup).map(AdaptiveSet::Diff),
-            Pair::Mixed(t, fuel, d) => {
-                let tids = t.difference(&d.diff);
-                (tids.support() >= minsup).then(|| AdaptiveSet::Tids {
-                    tids,
-                    fuel: fuel.saturating_sub(1),
-                })
-            }
-        }
-    }
-
-    fn join_metered(&self, other: &Self, meter: &mut OpMeter) -> Self {
-        match pair(self, other) {
-            Pair::Tids(ta, tb, fuel) if fuel > 0 => AdaptiveSet::Tids {
-                tids: ta.intersect_metered(tb, meter),
-                fuel: fuel - 1,
-            },
-            Pair::Tids(ta, tb, _) => {
-                AdaptiveSet::Diff(DiffSet::from_tidlists_metered(ta, tb, meter))
-            }
-            Pair::Diffs(da, db) => AdaptiveSet::Diff(da.join_metered(db, meter)),
-            Pair::Mixed(t, fuel, d) => AdaptiveSet::Tids {
-                tids: t.difference_metered(&d.diff, meter),
-                fuel: fuel.saturating_sub(1),
-            },
-        }
-    }
-
-    fn join_bounded_metered(&self, other: &Self, minsup: u32, meter: &mut OpMeter) -> Option<Self> {
-        match pair(self, other) {
-            Pair::Tids(ta, tb, fuel) if fuel > 0 => {
-                match ta.intersect_bounded_metered(tb, minsup, meter) {
-                    IntersectOutcome::Frequent(tids) => Some(AdaptiveSet::Tids {
-                        tids,
-                        fuel: fuel - 1,
-                    }),
-                    IntersectOutcome::Infrequent => None,
-                }
-            }
-            Pair::Tids(ta, tb, _) => {
-                DiffSet::from_tidlists_bounded_metered(ta, tb, minsup, meter).map(AdaptiveSet::Diff)
-            }
-            Pair::Diffs(da, db) => da
-                .join_bounded_metered(db, minsup, meter)
-                .map(AdaptiveSet::Diff),
-            Pair::Mixed(t, fuel, d) => {
-                let tids = t.difference_metered(&d.diff, meter);
-                (tids.support() >= minsup).then(|| AdaptiveSet::Tids {
-                    tids,
-                    fuel: fuel.saturating_sub(1),
-                })
-            }
-        }
-    }
-
-    fn is_switched(&self) -> bool {
-        self.is_diffset()
-    }
-
-    // The look-ahead fold mixes representations across depths, which the
-    // pairwise default cannot (it would pair a converted accumulator with
-    // unconverted siblings): delegate to the per-depth state machine.
-
-    fn fold_join(&self, rest: &[&Self]) -> Self {
-        self.fold_with(rest, None, &mut OpMeter::new())
-            .expect("unbounded fold always completes")
-    }
-
-    fn fold_join_bounded(&self, rest: &[&Self], minsup: u32) -> Option<Self> {
-        self.fold_with(rest, Some(minsup), &mut OpMeter::new())
-    }
-
-    fn fold_join_metered(&self, rest: &[&Self], meter: &mut OpMeter) -> Self {
-        self.fold_with(rest, None, meter)
-            .expect("unbounded fold always completes")
-    }
-
-    fn fold_join_bounded_metered(
-        &self,
-        rest: &[&Self],
-        minsup: u32,
-        meter: &mut OpMeter,
-    ) -> Option<Self> {
-        self.fold_with(rest, Some(minsup), meter)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn meet(a: &TidList, b: &TidList) -> TidList {
+        a.intersect(b, None, &mut OpMeter::new()).unwrap()
+    }
+
+    fn join(a: &AdaptiveSet, b: &AdaptiveSet) -> AdaptiveSet {
+        a.join(b, None, &mut OpMeter::new()).unwrap()
+    }
+
+    fn root(tx: &TidList, ty: &TidList) -> DiffSet {
+        DiffSet::from_tidlists(tx, ty, None, &mut OpMeter::new()).unwrap()
+    }
 
     fn lists() -> (TidList, TidList, TidList) {
         let ta = TidList::of(&(0..60).collect::<Vec<_>>());
@@ -379,42 +278,39 @@ mod tests {
     #[test]
     fn fuel_counts_down_then_switches() {
         let (ta, tb, tc) = lists();
-        let a = AdaptiveSet::with_fuel(ta.intersect(&tb), 1);
-        let b = AdaptiveSet::with_fuel(ta.intersect(&tc), 1);
-        let j1 = a.join(&b);
+        let a = AdaptiveSet::with_fuel(meet(&ta, &tb), 1);
+        let b = AdaptiveSet::with_fuel(meet(&ta, &tc), 1);
+        let j1 = join(&a, &b);
         assert!(!j1.is_diffset(), "fuel 1: first join stays tid-list");
         match &j1 {
             AdaptiveSet::Tids { fuel, .. } => assert_eq!(*fuel, 0),
             _ => unreachable!(),
         }
         // Second-level join (fuel exhausted) converts.
-        let sibling = AdaptiveSet::with_fuel(ta.intersect(&tb), 1).join(&b);
-        let j2 = j1.join(&sibling);
+        let sibling = join(&AdaptiveSet::with_fuel(meet(&ta, &tb), 1), &b);
+        let j2 = join(&j1, &sibling);
         assert!(j2.is_diffset(), "fuel 0: join converts to diffset");
     }
 
     #[test]
     fn supports_agree_with_pure_tidlists_across_fuel() {
         let (ta, tb, tc) = lists();
-        let tab = ta.intersect(&tb);
-        let tac = ta.intersect(&tc);
-        let expected = tab.intersect(&tac).support();
+        let tab = meet(&ta, &tb);
+        let tac = meet(&ta, &tc);
+        let expected = meet(&tab, &tac).support();
         for fuel in [0u32, 1, 2, 10] {
             let a = AdaptiveSet::with_fuel(tab.clone(), fuel);
             let b = AdaptiveSet::with_fuel(tac.clone(), fuel);
-            assert_eq!(a.join(&b).support(), expected, "fuel {fuel}");
+            assert_eq!(join(&a, &b).support(), expected, "fuel {fuel}");
             for minsup in 1..=expected + 2 {
-                let bounded = a.join_bounded(&b, minsup).map(|s| s.support());
+                let bounded = a
+                    .join(&b, Some(minsup), &mut OpMeter::new())
+                    .map(|s| s.support());
                 assert_eq!(
                     bounded,
                     (expected >= minsup).then_some(expected),
                     "fuel {fuel} minsup {minsup}"
                 );
-                let mut m = OpMeter::new();
-                let metered = a
-                    .join_bounded_metered(&b, minsup, &mut m)
-                    .map(|s| s.support());
-                assert_eq!(bounded, metered);
             }
         }
     }
@@ -422,28 +318,27 @@ mod tests {
     #[test]
     fn diffset_joins_after_switch_agree() {
         let (ta, tb, tc) = lists();
-        let a = AdaptiveSet::with_fuel(ta.intersect(&tb), 0);
-        let b = AdaptiveSet::with_fuel(ta.intersect(&tc), 0);
-        let ab = a.join(&b); // converts
+        let a = AdaptiveSet::with_fuel(meet(&ta, &tb), 0);
+        let b = AdaptiveSet::with_fuel(meet(&ta, &tc), 0);
+        let ab = join(&a, &b); // converts
         assert!(ab.is_diffset());
         // Join two diffset members of the next class.
         let c = AdaptiveSet::with_fuel(ta.clone(), 0);
         let d = AdaptiveSet::with_fuel(tb.clone(), 0);
-        let cd = c.join(&d);
+        let cd = join(&c, &d);
         assert!(cd.is_diffset());
-        assert_eq!(cd.support(), ta.intersect(&tb).support());
+        assert_eq!(cd.support(), meet(&ta, &tb).support());
     }
 
     #[test]
     fn is_switched_tracks_representation() {
         let (ta, tb, tc) = lists();
-        let a = AdaptiveSet::with_fuel(ta.intersect(&tb), 0);
-        let b = AdaptiveSet::with_fuel(ta.intersect(&tc), 0);
+        let a = AdaptiveSet::with_fuel(meet(&ta, &tb), 0);
+        let b = AdaptiveSet::with_fuel(meet(&ta, &tc), 0);
         assert!(!a.is_switched());
-        assert!(a.join(&b).is_switched());
-        // Plain tid-lists / diffsets report false via the trait default.
+        assert!(join(&a, &b).is_switched());
+        // Plain tid-lists report false via the trait default.
         assert!(!TidSet::is_switched(&ta));
-        assert!(!TidSet::is_switched(&DiffSet::from_tidlists(&ta, &tb)));
     }
 
     #[test]
@@ -451,12 +346,14 @@ mod tests {
         // Class prefix P = A: a tid-form member t(AB) and a diffset-form
         // member d(AC) must join to the correct t(ABC) = t(AB) − d(AC).
         let (ta, tb, tc) = lists();
-        let tab = ta.intersect(&tb);
-        let expected = tab.intersect(&tc);
+        let tab = meet(&ta, &tb);
+        let expected = meet(&tab, &tc);
         let tid_side = AdaptiveSet::with_fuel(tab.clone(), 3);
-        let diff_side = AdaptiveSet::Diff(DiffSet::from_tidlists(&ta, &tc));
+        let diff_side = AdaptiveSet::Diff(root(&ta, &tc));
         for (x, y) in [(&tid_side, &diff_side), (&diff_side, &tid_side)] {
-            let j = x.join(y);
+            let mut m = OpMeter::new();
+            let j = x.join(y, None, &mut m).unwrap();
+            assert!(m.tid_cmp > 0);
             assert!(!j.is_diffset(), "mixed join stays in tid form");
             assert_eq!(j.support(), expected.support());
             match &j {
@@ -468,14 +365,12 @@ mod tests {
             }
             for minsup in 1..=expected.support() + 2 {
                 assert_eq!(
-                    x.join_bounded(y, minsup).map(|s| s.support()),
+                    x.join(y, Some(minsup), &mut OpMeter::new())
+                        .map(|s| s.support()),
                     (expected.support() >= minsup).then_some(expected.support()),
                     "minsup {minsup}"
                 );
             }
-            let mut m = OpMeter::new();
-            assert_eq!(x.join_metered(y, &mut m).support(), expected.support());
-            assert!(m.tid_cmp > 0);
         }
     }
 
@@ -488,11 +383,8 @@ mod tests {
             .iter()
             .map(|&k| TidList::of(&(0..80).filter(|x| x % k != 1).collect::<Vec<_>>()))
             .collect();
-        let tids: Vec<TidList> = exts.iter().map(|t| ta.intersect(t)).collect();
-        let truth = tids
-            .iter()
-            .skip(1)
-            .fold(tids[0].clone(), |a, t| a.intersect(t));
+        let tids: Vec<TidList> = exts.iter().map(|t| meet(&ta, t)).collect();
+        let truth = tids[1..].iter().fold(tids[0].clone(), |a, t| meet(&a, t));
         for fuel in [0u32, 1, 2, 10] {
             let members: Vec<AdaptiveSet> = tids
                 .iter()
@@ -501,7 +393,7 @@ mod tests {
             let rest: Vec<&AdaptiveSet> = members[1..].iter().collect();
             let mut m = OpMeter::new();
             let folded = members[0]
-                .fold_with(&rest, None, &mut m)
+                .fold_join(&rest, None, &mut m)
                 .expect("unbounded fold always completes");
             assert_eq!(folded.support(), truth.support(), "fuel {fuel}");
             assert!(m.tid_cmp > 0);
@@ -509,7 +401,7 @@ mod tests {
             assert_eq!(folded.is_diffset(), fuel < 3, "fuel {fuel}");
             for minsup in 1..=truth.support() + 2 {
                 let bounded = members[0]
-                    .fold_with(&rest, Some(minsup), &mut OpMeter::new())
+                    .fold_join(&rest, Some(minsup), &mut OpMeter::new())
                     .map(|s| s.support());
                 assert_eq!(
                     bounded,
@@ -517,47 +409,60 @@ mod tests {
                     "fuel {fuel} minsup {minsup}"
                 );
             }
-            // Trait surface delegates to the same kernel.
-            assert_eq!(members[0].fold_join(&rest).support(), truth.support());
-            assert_eq!(
-                members[0]
-                    .fold_join_bounded(&rest, truth.support())
-                    .map(|s| s.support()),
-                Some(truth.support())
-            );
         }
     }
 
     #[test]
     fn fold_from_diffset_self_handles_diff_and_tid_members() {
-        // Rel accumulator: self and siblings in diffset form.
+        // Rel accumulator: self and siblings in diffset form. Chained
+        // pairwise diffset joins would get this support wrong.
         let ta = TidList::of(&(0..80).collect::<Vec<_>>());
-        let exts: Vec<TidList> = [2u32, 3, 5]
+        let exts: Vec<TidList> = [2u32, 3, 5, 7]
             .iter()
             .map(|&k| TidList::of(&(0..80).filter(|x| x % k != 1).collect::<Vec<_>>()))
             .collect();
-        let truth = exts.iter().fold(ta.clone(), |a, t| a.intersect(t));
+        let truth = exts.iter().fold(ta.clone(), |a, t| meet(&a, t));
         let diffs: Vec<AdaptiveSet> = exts
             .iter()
-            .map(|t| AdaptiveSet::Diff(DiffSet::from_tidlists(&ta, t)))
+            .map(|t| AdaptiveSet::Diff(root(&ta, t)))
             .collect();
         let rest: Vec<&AdaptiveSet> = diffs[1..].iter().collect();
-        let folded = diffs[0]
-            .fold_with(&rest, None, &mut OpMeter::new())
-            .unwrap();
+        let mut m = OpMeter::new();
+        let folded = diffs[0].fold_join(&rest, None, &mut m).unwrap();
         assert_eq!(folded.support(), truth.support());
+        assert!(m.tid_cmp > 0);
+        // The result is d(Px₁…x_k) relative to Px₁: t(Px₁) minus it is
+        // the union's tid-list.
+        match &folded {
+            AdaptiveSet::Diff(d) => {
+                assert_eq!(
+                    crate::diffset::reconstruct_tidlist(&meet(&ta, &exts[0]), d),
+                    truth
+                )
+            }
+            _ => unreachable!("a diffset fold stays in diffset form"),
+        }
+        for minsup in 1..=truth.support() + 2 {
+            assert_eq!(
+                diffs[0]
+                    .fold_join(&rest, Some(minsup), &mut OpMeter::new())
+                    .map(|s| s.support()),
+                (truth.support() >= minsup).then_some(truth.support()),
+                "minsup {minsup}"
+            );
+        }
         // Mixed rest: a diffset self folded with a tid-form sibling
         // demotes back to tid form and still gets the support right.
-        let tid_member = AdaptiveSet::with_fuel(ta.intersect(&exts[1]), 5);
-        let mixed_rest = [&tid_member, &diffs[2]];
+        let tid_member = AdaptiveSet::with_fuel(meet(&ta, &exts[1]), 5);
+        let mixed_rest = [&tid_member, &diffs[2], &diffs[3]];
         let folded = diffs[0]
-            .fold_with(&mixed_rest, None, &mut OpMeter::new())
+            .fold_join(&mixed_rest, None, &mut OpMeter::new())
             .unwrap();
         assert_eq!(folded.support(), truth.support());
         for minsup in 1..=truth.support() + 2 {
             assert_eq!(
                 diffs[0]
-                    .fold_with(&mixed_rest, Some(minsup), &mut OpMeter::new())
+                    .fold_join(&mixed_rest, Some(minsup), &mut OpMeter::new())
                     .map(|s| s.support()),
                 (truth.support() >= minsup).then_some(truth.support()),
                 "minsup {minsup}"
@@ -565,18 +470,18 @@ mod tests {
         }
         // Empty rest round-trips self.
         assert_eq!(
-            diffs[0].fold_with(&[], None, &mut OpMeter::new()),
+            diffs[0].fold_join(&[], None, &mut OpMeter::new()),
             Some(diffs[0].clone())
         );
     }
 
     #[test]
-    fn metered_join_accounts_comparisons() {
+    fn conversion_join_meters_comparisons() {
         let (ta, tb, tc) = lists();
-        let a = AdaptiveSet::with_fuel(ta.intersect(&tb), 0);
-        let b = AdaptiveSet::with_fuel(ta.intersect(&tc), 0);
+        let a = AdaptiveSet::with_fuel(meet(&ta, &tb), 0);
+        let b = AdaptiveSet::with_fuel(meet(&ta, &tc), 0);
         let mut m = OpMeter::new();
-        let j = a.join_metered(&b, &mut m);
+        let j = a.join(&b, None, &mut m).unwrap();
         assert!(j.is_diffset());
         assert!(m.tid_cmp > 0, "conversion join must meter comparisons");
     }

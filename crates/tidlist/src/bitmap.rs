@@ -12,7 +12,7 @@
 //! word-aligned `[base, base + 64·words)` tid window covering every
 //! member (see [`BitmapSet::frame_of`]). Joins only ever intersect, so
 //! every set produced below `L2` stays inside its class frame and
-//! word-wise `AND` is always aligned; [`BitmapSet::join`] asserts this.
+//! word-wise `AND` is always aligned; the join asserts this.
 //!
 //! Metering: one `tid_cmp` op per word `AND`+`popcount` processed, so a
 //! bitmap join of a `w`-word frame costs exactly `w` ops (or fewer when
@@ -21,7 +21,7 @@
 //! op per 64-tid word against one op per element probe.
 
 use crate::list::TidList;
-use crate::set::TidSet;
+use crate::set::{meets, TidSet};
 use mining_types::{OpMeter, Tid};
 use std::fmt;
 
@@ -31,15 +31,17 @@ const WORD_BITS: u32 = 64;
 /// A fixed-width bitmap over the tid window `[base, base + 64·words)`.
 ///
 /// ```
+/// use mining_types::OpMeter;
 /// use tidlist::{BitmapSet, TidList, TidSet};
 /// let a = TidList::of(&[1, 5, 7, 10, 50]);
 /// let b = TidList::of(&[1, 4, 7, 10, 11]);
 /// let (base, words) = BitmapSet::frame_of([&a, &b]);
 /// let ba = BitmapSet::from_tidlist(&a, base, words);
 /// let bb = BitmapSet::from_tidlist(&b, base, words);
-/// let joined = ba.join(&bb);
+/// let meter = &mut OpMeter::new();
+/// let joined = ba.join(&bb, None, meter).unwrap();
 /// assert_eq!(joined.support(), 3);
-/// assert_eq!(joined.to_tidlist(), a.intersect(&b));
+/// assert_eq!(Some(joined.to_tidlist()), a.join(&b, None, meter));
 /// ```
 #[derive(Clone, PartialEq, Eq)]
 pub struct BitmapSet {
@@ -125,13 +127,26 @@ impl BitmapSet {
         }
         out
     }
+}
 
-    /// Word-wise `AND` + popcount. With `minsup = Some(s)`, applies the
-    /// §5.3-style bound — after word `k`, at most `64·(w−k−1)` more bits
-    /// can match, so the join bails the moment
-    /// `count + 64·remaining < s` — and returns `None` exactly when the
-    /// intersection's support is below `s`. Returns the word ops spent.
-    fn and_inner(&self, other: &Self, minsup: Option<u32>) -> (Option<BitmapSet>, u64) {
+impl TidSet for BitmapSet {
+    fn support(&self) -> u32 {
+        self.support
+    }
+
+    /// Bytes of the fixed window — what the representation actually holds
+    /// live, which is precisely the dense-vs-sparse trade the ablation
+    /// and the peak-bytes statistic measure.
+    fn byte_size(&self) -> u64 {
+        self.words.len() as u64 * 8
+    }
+
+    /// Word-wise `AND` + popcount, one `tid_cmp` op per word. With
+    /// `minsup = Some(s)`, applies the §5.3-style bound — after word `k`,
+    /// at most `64·(w−k−1)` more bits can match, so the join bails the
+    /// moment `count + 64·remaining < s` — and returns `None` exactly when
+    /// the intersection's support is below `s`.
+    fn join(&self, other: &Self, minsup: Option<u32>, meter: &mut OpMeter) -> Option<Self> {
         assert_eq!(
             (self.base, self.words.len()),
             (other.base, other.words.len()),
@@ -149,56 +164,17 @@ impl BitmapSet {
             if let Some(s) = minsup {
                 let remaining = (n - k - 1) as u64 * u64::from(WORD_BITS);
                 if u64::from(count) + remaining < u64::from(s) {
-                    return (None, ops);
+                    meter.tid_cmp += ops;
+                    return None;
                 }
             }
         }
-        if minsup.is_some_and(|s| count < s) {
-            return (None, ops);
-        }
-        (
-            Some(BitmapSet {
-                base: self.base,
-                words: out,
-                support: count,
-            }),
-            ops,
-        )
-    }
-}
-
-impl TidSet for BitmapSet {
-    fn support(&self) -> u32 {
-        self.support
-    }
-
-    /// Bytes of the fixed window — what the representation actually holds
-    /// live, which is precisely the dense-vs-sparse trade the ablation
-    /// and the peak-bytes statistic measure.
-    fn byte_size(&self) -> u64 {
-        self.words.len() as u64 * 8
-    }
-
-    fn join(&self, other: &Self) -> Self {
-        let (r, _) = self.and_inner(other, None);
-        r.expect("unbounded bitmap join always completes")
-    }
-
-    fn join_bounded(&self, other: &Self, minsup: u32) -> Option<Self> {
-        let (r, _) = self.and_inner(other, Some(minsup));
-        r
-    }
-
-    fn join_metered(&self, other: &Self, meter: &mut OpMeter) -> Self {
-        let (r, ops) = self.and_inner(other, None);
         meter.tid_cmp += ops;
-        r.expect("unbounded bitmap join always completes")
-    }
-
-    fn join_bounded_metered(&self, other: &Self, minsup: u32, meter: &mut OpMeter) -> Option<Self> {
-        let (r, ops) = self.and_inner(other, Some(minsup));
-        meter.tid_cmp += ops;
-        r
+        meets(count, minsup).then_some(BitmapSet {
+            base: self.base,
+            words: out,
+            support: count,
+        })
     }
 }
 
@@ -224,17 +200,21 @@ mod tests {
         (
             BitmapSet::from_tidlist(&ta, base, words),
             BitmapSet::from_tidlist(&tb, base, words),
-            ta.intersect(&tb),
+            ta.join(&tb, None, &mut OpMeter::new()).unwrap(),
         )
+    }
+
+    fn and(a: &BitmapSet, b: &BitmapSet) -> BitmapSet {
+        a.join(b, None, &mut OpMeter::new()).unwrap()
     }
 
     #[test]
     fn roundtrip_and_join_match_tidlist() {
         let (ba, bb, truth) = pair(&[1, 5, 7, 10, 50], &[1, 4, 7, 10, 11]);
-        assert_eq!(ba.join(&bb).to_tidlist(), truth);
-        assert_eq!(ba.join(&bb).support(), 3);
         let mut m = OpMeter::new();
-        assert_eq!(ba.join_metered(&bb, &mut m).to_tidlist(), truth);
+        let joined = ba.join(&bb, None, &mut m).unwrap();
+        assert_eq!(joined.to_tidlist(), truth);
+        assert_eq!(joined.support(), 3);
         assert_eq!(m.tid_cmp, ba.num_words() as u64);
     }
 
@@ -258,9 +238,9 @@ mod tests {
         assert_eq!((base, words), (Tid(0), 0));
         let b = BitmapSet::from_tidlist(&e, base, words);
         assert_eq!(b.support(), 0);
-        assert_eq!(b.join(&b).support(), 0);
-        assert_eq!(b.join_bounded(&b, 1), None);
-        assert!(b.join_bounded(&b, 0).is_some());
+        assert_eq!(and(&b, &b).support(), 0);
+        assert_eq!(b.join(&b, Some(1), &mut OpMeter::new()), None);
+        assert!(b.join(&b, Some(0), &mut OpMeter::new()).is_some());
     }
 
     #[test]
@@ -273,18 +253,13 @@ mod tests {
         assert!(s > 0);
         for minsup in [0, 1, s - 1, s] {
             assert_eq!(
-                ba.join_bounded(&bb, minsup).map(|r| r.support()),
+                ba.join(&bb, Some(minsup), &mut OpMeter::new())
+                    .map(|r| r.support()),
                 Some(s),
                 "minsup {minsup}"
             );
         }
-        assert_eq!(ba.join_bounded(&bb, s + 1), None);
-        let mut m = OpMeter::new();
-        assert_eq!(
-            ba.join_bounded_metered(&bb, s, &mut m).unwrap().support(),
-            s
-        );
-        assert!(m.tid_cmp > 0);
+        assert_eq!(ba.join(&bb, Some(s + 1), &mut OpMeter::new()), None);
     }
 
     #[test]
@@ -300,8 +275,8 @@ mod tests {
         // with minsup = |a| it trips right after a's last populated word
         // (~halfway through the 200-word frame) instead of walking b's
         // empty half too.
-        assert_eq!(ba.join_bounded_metered(&bb, 6400, &mut bounded), None);
-        ba.join_metered(&bb, &mut full);
+        assert_eq!(ba.join(&bb, Some(6400), &mut bounded), None);
+        ba.join(&bb, None, &mut full);
         assert!(
             bounded.tid_cmp <= full.tid_cmp / 2 + 2,
             "bound should save word ops: {} vs {}",
@@ -322,15 +297,16 @@ mod tests {
             .iter()
             .map(|t| BitmapSet::from_tidlist(t, base, words))
             .collect();
-        let truth = lists[1..]
-            .iter()
-            .fold(lists[0].clone(), |a, t| a.intersect(t));
+        let truth = lists[1..].iter().fold(lists[0].clone(), |a, t| {
+            a.join(t, None, &mut OpMeter::new()).unwrap()
+        });
         let rest: Vec<&BitmapSet> = maps[1..].iter().collect();
-        assert_eq!(maps[0].fold_join(&rest).to_tidlist(), truth);
+        let folded = maps[0].fold_join(&rest, None, &mut OpMeter::new());
+        assert_eq!(folded.map(|b| b.to_tidlist()), Some(truth.clone()));
         for minsup in 1..=truth.support() + 2 {
             assert_eq!(
                 maps[0]
-                    .fold_join_bounded(&rest, minsup)
+                    .fold_join(&rest, Some(minsup), &mut OpMeter::new())
                     .map(|b| b.support()),
                 (truth.support() >= minsup).then_some(truth.support()),
                 "minsup {minsup}"
@@ -343,7 +319,7 @@ mod tests {
     fn mismatched_frames_panic() {
         let a = BitmapSet::from_tidlist(&TidList::of(&[1]), Tid(0), 1);
         let b = BitmapSet::from_tidlist(&TidList::of(&[1]), Tid(0), 2);
-        a.join(&b);
+        and(&a, &b);
     }
 
     #[test]
@@ -352,6 +328,6 @@ mod tests {
         let (base, words) = BitmapSet::frame_of([&t]);
         let b = BitmapSet::from_tidlist(&t, base, words);
         assert_eq!(b.to_tidlist(), t);
-        assert_eq!(b.join(&b).to_tidlist(), t);
+        assert_eq!(and(&b, &b).to_tidlist(), t);
     }
 }

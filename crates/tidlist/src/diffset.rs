@@ -13,12 +13,15 @@
 //! as ongoing work (§5.3, §9); this module implements that extension and
 //! the `ablation` bench compares both representations.
 
-use crate::list::difference_inner;
 use crate::TidList;
 use mining_types::OpMeter;
 
 /// An itemset's vertical representation in diffset form: the support count
 /// plus the tids of the *prefix* that do **not** contain the itemset.
+///
+/// The miner runs diffsets as the [`crate::AdaptiveSet::Diff`] arm (fuel
+/// `0` switches at the first join below `L2`), which is also where the
+/// multi-way look-ahead fold over diffsets lives.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DiffSet {
     /// `d(P x)` — tids in `t(P)` but not in `t(P x)`.
@@ -28,121 +31,35 @@ pub struct DiffSet {
 }
 
 impl DiffSet {
-    /// Root conversion: a 2-itemset's diffset relative to its first item.
+    /// Root conversion: a 2-itemset's diffset relative to its first item,
+    /// `d(xy) = t(x) − t(y)` with `support(xy) = |t(x)| − |d(xy)|`.
     ///
-    /// `d(xy) = t(x) − t(y)`; `support(xy)` is supplied by the caller (the
-    /// initialization phase's triangular counts) or derived as
-    /// `|t(x)| − |d(xy)|`.
-    pub fn from_tidlists(t_prefix: &TidList, t_ext: &TidList) -> DiffSet {
-        let diff = t_prefix.difference(t_ext);
-        let support = t_prefix.support() - diff.support();
-        DiffSet { diff, support }
-    }
-
-    /// [`DiffSet::from_tidlists`] plus exact comparison metering.
-    pub fn from_tidlists_metered(
+    /// With `minsup = Some(s)` the difference stops once it grows past
+    /// `|t(x)| − s` and returns `None` exactly when `support(xy) < s` —
+    /// the §5.3 budget argument of [`DiffSet::join`].
+    pub fn from_tidlists(
         t_prefix: &TidList,
         t_ext: &TidList,
-        meter: &mut OpMeter,
-    ) -> DiffSet {
-        let diff = t_prefix.difference_metered(t_ext, meter);
-        let support = t_prefix.support() - diff.support();
-        DiffSet { diff, support }
-    }
-
-    /// Bounded root conversion: `None` when the resulting itemset cannot
-    /// reach `minsup`. Since `support = |t_prefix| − |diff|`, the
-    /// difference can stop once it grows past `|t_prefix| − minsup` —
-    /// the same §5.3 budget argument as [`DiffSet::join_bounded`].
-    pub fn from_tidlists_bounded(
-        t_prefix: &TidList,
-        t_ext: &TidList,
-        minsup: u32,
-    ) -> Option<DiffSet> {
-        Self::from_tidlists_bounded_inner(t_prefix, t_ext, minsup, &mut OpMeter::new())
-    }
-
-    /// [`DiffSet::from_tidlists_bounded`] plus exact comparison metering.
-    pub fn from_tidlists_bounded_metered(
-        t_prefix: &TidList,
-        t_ext: &TidList,
-        minsup: u32,
+        minsup: Option<u32>,
         meter: &mut OpMeter,
     ) -> Option<DiffSet> {
-        Self::from_tidlists_bounded_inner(t_prefix, t_ext, minsup, meter)
-    }
-
-    fn from_tidlists_bounded_inner(
-        t_prefix: &TidList,
-        t_ext: &TidList,
-        minsup: u32,
-        meter: &mut OpMeter,
-    ) -> Option<DiffSet> {
-        if t_prefix.support() < minsup {
-            return None;
-        }
-        let budget = (t_prefix.support() - minsup) as usize;
-        let (out, ops) = difference_inner(t_prefix.tids(), t_ext.tids(), Some(budget));
-        meter.tid_cmp += ops;
-        out.map(|diff| {
-            let support = t_prefix.support() - diff.support();
-            debug_assert!(support >= minsup);
-            DiffSet { diff, support }
-        })
+        subtract(t_prefix.support(), t_prefix, t_ext, minsup, meter)
     }
 
     /// Join two diffsets sharing the same prefix `P`: given `d(Px)` (self)
     /// and `d(Py)` (other) with `x < y`, produce `d(Pxy) = d(Py) − d(Px)`
     /// and `support(Pxy) = support(Px) − |d(Pxy)|`.
-    pub fn join(&self, other: &DiffSet) -> DiffSet {
-        let diff = other.diff.difference(&self.diff);
-        let support = self.support - diff.support();
-        DiffSet { diff, support }
-    }
-
-    /// [`DiffSet::join`] plus exact comparison metering.
-    pub fn join_metered(&self, other: &DiffSet, meter: &mut OpMeter) -> DiffSet {
-        let diff = other.diff.difference_metered(&self.diff, meter);
-        let support = self.support - diff.support();
-        DiffSet { diff, support }
-    }
-
-    /// Join with a short-circuit: `None` when `support(Pxy) < minsup`.
     ///
-    /// Because `support(Pxy) = support(Px) − |d(Pxy)|`, the join can stop
-    /// as soon as the diffset grows past `support(Px) − minsup`.
-    pub fn join_bounded(&self, other: &DiffSet, minsup: u32) -> Option<DiffSet> {
-        self.join_bounded_inner(other, minsup, &mut OpMeter::new())
-    }
-
-    /// [`DiffSet::join_bounded`] plus exact comparison metering.
-    pub fn join_bounded_metered(
+    /// With `minsup = Some(s)` the join stops as soon as the diffset grows
+    /// past `support(Px) − s` and returns `None` exactly when
+    /// `support(Pxy) < s`.
+    pub fn join(
         &self,
         other: &DiffSet,
-        minsup: u32,
+        minsup: Option<u32>,
         meter: &mut OpMeter,
     ) -> Option<DiffSet> {
-        self.join_bounded_inner(other, minsup, meter)
-    }
-
-    fn join_bounded_inner(
-        &self,
-        other: &DiffSet,
-        minsup: u32,
-        meter: &mut OpMeter,
-    ) -> Option<DiffSet> {
-        if self.support < minsup {
-            return None;
-        }
-        let budget = (self.support - minsup) as usize;
-        // Early-exit difference: abandon once the output exceeds budget.
-        let (out, ops) = difference_inner(other.diff.tids(), self.diff.tids(), Some(budget));
-        meter.tid_cmp += ops;
-        out.map(|diff| {
-            let support = self.support - diff.support();
-            debug_assert!(support >= minsup);
-            DiffSet { diff, support }
-        })
+        subtract(self.support, &other.diff, &self.diff, minsup, meter)
     }
 
     /// Serialized size in bytes: the diff tids plus the support word —
@@ -150,71 +67,54 @@ impl DiffSet {
     pub fn byte_size(&self) -> u64 {
         self.diff.byte_size() + 4
     }
+}
 
-    /// Multi-way join of class siblings `d(Px₁)` (self), `d(Px₂)`, …,
-    /// `d(Px_k)` (rest), producing `d(Px₁x₂…x_k)` relative to `Px₁`.
-    ///
-    /// Chaining pairwise [`DiffSet::join`]s is **wrong** here: after one
-    /// join the accumulator's diff is relative to `Px₁`, while the
-    /// remaining members' diffs are still relative to `P`, so a second
-    /// pairwise join would subtract incomparable sets and report a bogus
-    /// support. The correct multi-way identity keeps every operand
-    /// relative to `P`:
-    ///
-    /// ```text
-    /// d(Px₁x₂…x_k) rel Px₁ = (d(Px₂) ∪ … ∪ d(Px_k)) − d(Px₁)
-    /// support(Px₁…x_k)     = support(Px₁) − |d(Px₁…x_k)|
-    /// ```
-    ///
-    /// computed incrementally as `acc ∪= (d(Px_j) − d(Px₁))`. With
-    /// `minsup = Some(s)` the fold bails as soon as `|acc|` exceeds
-    /// `support(Px₁) − s` — sound because unions only grow (§5.3 budget
-    /// argument). Returns `None` exactly when the union is infrequent.
-    pub fn fold_join_with(
-        &self,
-        rest: &[&DiffSet],
-        minsup: Option<u32>,
-        meter: &mut OpMeter,
-    ) -> Option<DiffSet> {
-        let budget = match minsup {
-            Some(s) if self.support < s => return None,
-            Some(s) => Some((self.support - s) as usize),
-            None => None,
-        };
-        if rest.is_empty() {
-            // Zero joins leave the operand unchanged (still relative to P),
-            // matching the pairwise chain convention.
-            return Some(self.clone());
-        }
-        let mut acc = TidList::new();
-        for m in rest {
-            let contrib = m.diff.difference_metered(&self.diff, meter);
-            acc = acc.union_metered(&contrib, meter);
-            if let Some(b) = budget {
-                if acc.len() > b {
-                    return None;
-                }
-            }
-        }
-        let support = self.support - acc.support();
-        Some(DiffSet { diff: acc, support })
-    }
+/// The diffset `a − b` of an itemset whose parent has support `parent`:
+/// its support is `parent − |a − b|`, so with `minsup = Some(s)` the
+/// difference may grow to at most `parent − s` elements.
+fn subtract(
+    parent: u32,
+    a: &TidList,
+    b: &TidList,
+    minsup: Option<u32>,
+    meter: &mut OpMeter,
+) -> Option<DiffSet> {
+    let budget = match minsup {
+        Some(s) if parent < s => return None,
+        Some(s) => Some((parent - s) as usize),
+        None => None,
+    };
+    let diff = a.difference(b, budget, meter)?;
+    Some(DiffSet {
+        support: parent - diff.support(),
+        diff,
+    })
 }
 
 /// Cross-check helper: reconstruct `t(Px)` from `t(P)` and `d(Px)`.
 pub fn reconstruct_tidlist(t_prefix: &TidList, d: &DiffSet) -> TidList {
-    t_prefix.difference(&d.diff)
+    t_prefix
+        .difference(&d.diff, None, &mut OpMeter::new())
+        .expect("unbounded difference always completes")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn meet(a: &TidList, b: &TidList) -> TidList {
+        a.intersect(b, None, &mut OpMeter::new()).unwrap()
+    }
+
+    fn root(tx: &TidList, ty: &TidList) -> DiffSet {
+        DiffSet::from_tidlists(tx, ty, None, &mut OpMeter::new()).unwrap()
+    }
+
     #[test]
     fn from_tidlists_basic() {
         let tx = TidList::of(&[1, 2, 3, 4, 5]);
         let ty = TidList::of(&[2, 4, 6]);
-        let d = DiffSet::from_tidlists(&tx, &ty);
+        let d = root(&tx, &ty);
         assert_eq!(d.diff, TidList::of(&[1, 3, 5]));
         assert_eq!(d.support, 2); // {2,4}
         assert_eq!(reconstruct_tidlist(&tx, &d), TidList::of(&[2, 4]));
@@ -226,33 +126,35 @@ mod tests {
         let ta = TidList::of(&(1..=10).collect::<Vec<_>>());
         let tb = TidList::of(&[1, 2, 3, 4, 5, 7]);
         let tc = TidList::of(&[2, 4, 5, 8, 9]);
-        let dab = DiffSet::from_tidlists(&ta, &tb);
-        let dac = DiffSet::from_tidlists(&ta, &tc);
-        let dabc = dab.join(&dac);
+        let dabc = root(&ta, &tb)
+            .join(&root(&ta, &tc), None, &mut OpMeter::new())
+            .unwrap();
         // Ground truth via tid-lists:
-        let tab = ta.intersect(&tb);
-        let tabc = tab.intersect(&tc);
+        let tab = meet(&ta, &tb);
+        let tabc = meet(&tab, &tc);
         assert_eq!(dabc.support, tabc.support());
         assert_eq!(reconstruct_tidlist(&tab, &dabc), tabc);
     }
 
     #[test]
-    fn join_bounded_agrees_with_join() {
+    fn bounded_join_agrees_with_unbounded() {
         let ta = TidList::of(&(0..50).collect::<Vec<_>>());
         let tb = TidList::of(&(0..50).filter(|x| x % 2 == 0).collect::<Vec<_>>());
         let tc = TidList::of(&(0..50).filter(|x| x % 3 == 0).collect::<Vec<_>>());
-        let dab = DiffSet::from_tidlists(&ta, &tb);
-        let dac = DiffSet::from_tidlists(&ta, &tc);
-        let full = dab.join(&dac);
+        let (dab, dac) = (root(&ta, &tb), root(&ta, &tc));
+        let full = dab.join(&dac, None, &mut OpMeter::new()).unwrap();
         for minsup in 1..=full.support {
-            let bounded = dab.join_bounded(&dac, minsup).expect("frequent");
-            assert_eq!(bounded, full, "minsup {minsup}");
+            let bounded = dab.join(&dac, Some(minsup), &mut OpMeter::new());
+            assert_eq!(bounded, Some(full.clone()), "minsup {minsup}");
         }
-        assert_eq!(dab.join_bounded(&dac, full.support + 1), None);
+        assert_eq!(
+            dab.join(&dac, Some(full.support + 1), &mut OpMeter::new()),
+            None
+        );
     }
 
     #[test]
-    fn join_bounded_short_circuits_below_prefix_support() {
+    fn bounded_join_short_circuits_below_prefix_support() {
         let d = DiffSet {
             diff: TidList::new(),
             support: 5,
@@ -261,111 +163,58 @@ mod tests {
             diff: TidList::of(&(0..100).collect::<Vec<_>>()),
             support: 5,
         };
+        let mut m = OpMeter::new();
         assert_eq!(
-            d.join_bounded(&other, 6),
+            d.join(&other, Some(6), &mut m),
             None,
             "prefix support below minsup"
         );
+        assert_eq!(m.tid_cmp, 0, "decided before any comparison");
     }
 
     #[test]
-    fn bounded_difference_budget() {
-        let diff = |a: &TidList, b: &TidList, budget: usize| {
-            difference_inner(a.tids(), b.tids(), Some(budget)).0
-        };
-        let a = TidList::of(&[1, 2, 3, 4]);
-        let b = TidList::of(&[2]);
-        assert_eq!(diff(&a, &b, 3), Some(TidList::of(&[1, 3, 4])));
-        assert_eq!(diff(&a, &b, 2), None);
-        assert_eq!(diff(&a, &a, 0), Some(TidList::new()));
-    }
-
-    #[test]
-    fn metered_join_counts_exact_comparisons() {
+    fn join_counts_exact_comparisons() {
         let ta = TidList::of(&(0..100).collect::<Vec<_>>());
         let tb = TidList::of(&(0..100).filter(|x| x % 2 == 0).collect::<Vec<_>>());
         let tc = TidList::of(&(0..100).filter(|x| x % 3 == 0).collect::<Vec<_>>());
-        let dab = DiffSet::from_tidlists(&ta, &tb);
-        let dac = DiffSet::from_tidlists(&ta, &tc);
+        let (dab, dac) = (root(&ta, &tb), root(&ta, &tc));
         let mut m = OpMeter::new();
-        let full = dab.join_metered(&dac, &mut m);
-        assert_eq!(full, dab.join(&dac));
+        let full = dab.join(&dac, None, &mut m).unwrap();
         // One three-way probe per advance: never more than both inputs.
         assert!(m.tid_cmp > 0);
         assert!(m.tid_cmp <= (dab.diff.len() + dac.diff.len()) as u64);
-        // Bounded + metered agrees and never does more work than the
-        // unbounded join.
+        // The bounded join agrees and never does more work.
         let mut mb = OpMeter::new();
-        let bounded = dab
-            .join_bounded_metered(&dac, 1, &mut mb)
-            .expect("frequent");
-        assert_eq!(bounded, full);
+        assert_eq!(dab.join(&dac, Some(1), &mut mb), Some(full));
         assert!(mb.tid_cmp <= m.tid_cmp);
-    }
-
-    #[test]
-    fn fold_join_matches_tidlist_ground_truth() {
-        // Class prefix P = A with four extensions; verify the multi-way
-        // fold against tid-list intersections — including the case where
-        // chained pairwise joins would get the support wrong.
-        let ta = TidList::of(&(0..30).collect::<Vec<_>>());
-        let exts: Vec<TidList> = [2u32, 3, 5, 7]
-            .iter()
-            .map(|&k| TidList::of(&(0..30).filter(|x| x % k != 1).collect::<Vec<_>>()))
-            .collect();
-        let diffs: Vec<DiffSet> = exts
-            .iter()
-            .map(|t| DiffSet::from_tidlists(&ta, t))
-            .collect();
-        // Ground truth: t(A) ∩ all extensions.
-        let truth = exts.iter().fold(ta.clone(), |acc, t| acc.intersect(t));
-        let rest: Vec<&DiffSet> = diffs[1..].iter().collect();
-        let mut m = OpMeter::new();
-        let folded = diffs[0]
-            .fold_join_with(&rest, None, &mut m)
-            .expect("unbounded fold always completes");
-        assert_eq!(folded.support, truth.support());
-        assert!(m.tid_cmp > 0);
-        // Reconstruct: t(Px₁…x_k) = t(Px₁) − d rel Px₁.
-        let tax1 = ta.intersect(&exts[0]);
-        assert_eq!(reconstruct_tidlist(&tax1, &folded), truth);
-        // Bounded fold agrees below/at the support and bails above it.
-        for minsup in 1..=truth.support() {
-            let b = diffs[0]
-                .fold_join_with(&rest, Some(minsup), &mut OpMeter::new())
-                .expect("frequent");
-            assert_eq!(b, folded, "minsup {minsup}");
-        }
-        assert_eq!(
-            diffs[0].fold_join_with(&rest, Some(truth.support() + 1), &mut OpMeter::new()),
-            None
-        );
-        // Empty rest: the fold is just self.
-        assert_eq!(
-            diffs[0].fold_join_with(&[], None, &mut OpMeter::new()),
-            Some(diffs[0].clone())
-        );
     }
 
     #[test]
     fn bounded_root_conversion_agrees_with_full() {
         let tx = TidList::of(&(0..40).collect::<Vec<_>>());
         let ty = TidList::of(&(0..40).filter(|x| x % 4 != 0).collect::<Vec<_>>());
-        let full = DiffSet::from_tidlists(&tx, &ty);
+        let mut m = OpMeter::new();
+        let full = DiffSet::from_tidlists(&tx, &ty, None, &mut m).unwrap();
+        assert!(m.tid_cmp > 0);
         for minsup in 1..=full.support {
             assert_eq!(
-                DiffSet::from_tidlists_bounded(&tx, &ty, minsup),
+                DiffSet::from_tidlists(&tx, &ty, Some(minsup), &mut OpMeter::new()),
                 Some(full.clone()),
                 "minsup {minsup}"
             );
         }
         assert_eq!(
-            DiffSet::from_tidlists_bounded(&tx, &ty, full.support + 1),
+            DiffSet::from_tidlists(&tx, &ty, Some(full.support + 1), &mut OpMeter::new()),
             None
         );
-        let mut m = OpMeter::new();
-        let metered = DiffSet::from_tidlists_metered(&tx, &ty, &mut m);
-        assert_eq!(metered, full);
-        assert!(m.tid_cmp > 0);
+    }
+
+    #[test]
+    fn byte_size_counts_the_support_word() {
+        let d = DiffSet {
+            diff: TidList::of(&[4, 5]),
+            support: 9,
+        };
+        assert_eq!(d.byte_size(), 12); // 2 tids + support word
     }
 }

@@ -7,33 +7,31 @@
 //! can be computed by simply intersecting the tid-lists of any two (k−1)-
 //! subsets."*
 //!
-//! This crate provides the [`TidList`] type plus every intersection
-//! variant the reproduction needs:
+//! This crate provides the [`TidList`] type with four metered kernels:
 //!
-//! * [`TidList::intersect`] — plain two-pointer merge;
-//! * [`TidList::intersect_bounded`] — the paper's **short-circuited**
-//!   intersection (§5.3): stop as soon as the upper bound on the result
-//!   cardinality drops below the minimum support;
-//! * [`TidList::gallop_intersect`] — galloping (exponential-search)
-//!   kernel for size-skewed operands;
-//! * [`TidList::difference`] — set difference, used by the d-Eclat
-//!   *diffset* extension;
-//! * `_metered` variants of the hot kernels that report the element
-//!   comparisons performed, feeding the simulated-cluster cost model.
+//! * [`TidList::intersect`] — the two-pointer merge, optionally the
+//!   paper's **short-circuited** intersection (§5.3): stop as soon as the
+//!   upper bound on the result cardinality drops below the minimum
+//!   support;
+//! * [`TidList::intersect_adaptive`] — galloping (exponential search) on
+//!   size-skewed operands, the merge otherwise;
+//! * [`TidList::difference`] — set difference, the d-Eclat *diffset*
+//!   kernel, with the diffset form of the same bound;
+//! * [`TidList::union`] — the multi-way diffset look-ahead's union.
 //!
-//! * [`TidList::intersect_chunked`] / [`TidList::gallop_intersect_chunked`]
-//!   — explicitly vectorized 8-wide unrolled block kernels for the sparse
-//!   case (branchless lane sweeps the optimizer turns into packed
-//!   compares).
+//! Each reports the element comparisons it performs, feeding the
+//! simulated-cluster cost model.
 //!
-//! On top of the concrete kernels sits the [`TidSet`] trait — support,
-//! (bounded/metered) join, multi-way look-ahead folds, and a byte-size
-//! hook — implemented by [`TidList`], [`diffset::DiffSet`], the adaptive
-//! galloping wrapper [`GallopList`], the chunked-kernel wrapper
-//! [`ChunkedList`], the fixed-width bitmap [`BitmapSet`] (word `AND` +
-//! popcount joins for dense classes), and the mid-recursion switching
-//! [`AdaptiveSet`]. The mining recursion in the `eclat` crate is generic
-//! over it, so every algorithm variant can run on any representation.
+//! On top of the kernels sits the [`TidSet`] trait — support, one join
+//! and one multi-way look-ahead fold (each metered, each with an optional
+//! §5.3 bound), and a byte-size hook. Four types here implement it:
+//! [`TidList`], the galloping wrapper [`GallopList`], the fixed-width
+//! bitmap [`BitmapSet`] (word `AND` + popcount joins for dense classes),
+//! and the mid-recursion switching [`AdaptiveSet`], whose diffset arm is
+//! how d-Eclat [`diffset::DiffSet`]s are mined; the sequence miner's
+//! `PairSet` is the fifth. The mining recursion in the `eclat` crate is
+//! generic over the trait, so every algorithm variant can run on any
+//! representation.
 
 pub mod adaptive;
 pub mod bitmap;
@@ -43,5 +41,5 @@ pub mod set;
 
 pub use adaptive::AdaptiveSet;
 pub use bitmap::BitmapSet;
-pub use list::{IntersectOutcome, TidList, LANES};
-pub use set::{ChunkedList, GallopList, TidSet};
+pub use list::TidList;
+pub use set::{GallopList, TidSet};

@@ -1,46 +1,36 @@
 //! Minsup boundary audit (§5.3 short-circuit): for **every** `TidSet`
 //! representation, a candidate whose support is *exactly* `minsup` must
-//! survive `join_bounded`, and one at `minsup − 1` must be pruned — the
+//! survive a bounded `join`, and one at `minsup − 1` must be pruned — the
 //! trait contract is `None` **iff** `support < minsup`, with no off-by-one
 //! in any kernel's early-bail arithmetic.
 
 use mining_types::OpMeter;
 use tidlist::diffset::DiffSet;
-use tidlist::{AdaptiveSet, BitmapSet, ChunkedList, GallopList, TidList, TidSet};
+use tidlist::{AdaptiveSet, BitmapSet, GallopList, TidList, TidSet};
 
 /// Exercise one representation's pairwise + fold bounded joins around the
 /// exact threshold. `s` is the true support of `a ⋈ b`; `s_fold` of
 /// `a ⋈ b ⋈ c`.
 fn check_boundary<S: TidSet>(label: &str, a: &S, b: &S, c: &S, s: u32, s_fold: u32) {
-    assert_eq!(a.join(b).support(), s, "{label}: setup");
-    let mut m = OpMeter::new();
+    let m = &mut OpMeter::new();
+    let support = |j: Option<S>| j.map(|j| j.support());
+    assert_eq!(support(a.join(b, None, m)), Some(s), "{label}: setup");
     // support == minsup: must survive, with the full (untruncated) result.
-    let at = a.join_bounded(b, s);
     assert_eq!(
-        at.as_ref().map(TidSet::support),
+        support(a.join(b, Some(s), m)),
         Some(s),
         "{label}: candidate at exactly minsup={s} must survive"
     );
-    assert_eq!(
-        a.join_bounded_metered(b, s, &mut m).map(|j| j.support()),
-        Some(s),
-        "{label}: metered bounded join at minsup={s}"
-    );
     // support == minsup − 1 (i.e. minsup = s + 1): must be pruned.
     assert!(
-        a.join_bounded(b, s + 1).is_none(),
+        a.join(b, Some(s + 1), m).is_none(),
         "{label}: support {s} must be pruned at minsup={}",
-        s + 1
-    );
-    assert!(
-        a.join_bounded_metered(b, s + 1, &mut m).is_none(),
-        "{label}: metered prune at minsup={}",
         s + 1
     );
     // A generous threshold never changes the surviving result's support.
     if s > 0 {
         assert_eq!(
-            a.join_bounded(b, s - 1).map(|j| j.support()),
+            support(a.join(b, Some(s - 1), m)),
             Some(s),
             "{label}: slack minsup={} must not alter the result",
             s - 1
@@ -48,25 +38,19 @@ fn check_boundary<S: TidSet>(label: &str, a: &S, b: &S, c: &S, s: u32, s_fold: u
     }
     // Same contract through the look-ahead fold (`fold_join`).
     assert_eq!(
-        a.fold_join(&[b, c]).support(),
-        s_fold,
+        support(a.fold_join(&[b, c], None, m)),
+        Some(s_fold),
         "{label}: fold setup"
     );
     assert_eq!(
-        a.fold_join_bounded(&[b, c], s_fold).map(|j| j.support()),
+        support(a.fold_join(&[b, c], Some(s_fold), m)),
         Some(s_fold),
         "{label}: fold candidate at exactly minsup={s_fold} must survive"
     );
     assert!(
-        a.fold_join_bounded(&[b, c], s_fold + 1).is_none(),
+        a.fold_join(&[b, c], Some(s_fold + 1), m).is_none(),
         "{label}: fold support {s_fold} must be pruned at minsup={}",
         s_fold + 1
-    );
-    assert_eq!(
-        a.fold_join_bounded_metered(&[b, c], s_fold, &mut m)
-            .map(|j| j.support()),
-        Some(s_fold),
-        "{label}: metered fold at minsup={s_fold}"
     );
 }
 
@@ -89,22 +73,11 @@ fn every_representation_honours_the_exact_threshold() {
         s,
         s_fold,
     );
-    check_boundary(
-        "chunked",
-        &ChunkedList(ta.clone()),
-        &ChunkedList(tb.clone()),
-        &ChunkedList(tc.clone()),
-        s,
-        s_fold,
-    );
-    check_boundary(
-        "diffset",
-        &DiffSet::from_tidlists(&tp, &ta),
-        &DiffSet::from_tidlists(&tp, &tb),
-        &DiffSet::from_tidlists(&tp, &tc),
-        s,
-        s_fold,
-    );
+    // Diffset members of class P, as the miner holds them.
+    let diff = |t: &TidList| {
+        AdaptiveSet::Diff(DiffSet::from_tidlists(&tp, t, None, &mut OpMeter::new()).unwrap())
+    };
+    check_boundary("diffset", &diff(&ta), &diff(&tb), &diff(&tc), s, s_fold);
     // Adaptive at every switch point reachable in two joins: pure-diffset
     // (fuel 0), switch-on-second-join (fuel 1), never-switch (fuel 9).
     for fuel in [0, 1, 9] {
@@ -128,35 +101,22 @@ fn every_representation_honours_the_exact_threshold() {
     );
 }
 
-/// The same audit on a *skewed* pair, so the galloping / chunked-gallop
-/// code paths (not just the merge) face the exact threshold: a short list
-/// against a long one where the intersection support is tiny and known.
+/// The same audit on a *skewed* pair, so the galloping code path (not
+/// just the merge) faces the exact threshold: a short list against a long
+/// one where the intersection support is tiny and known.
 #[test]
 fn skewed_operands_honour_the_exact_threshold() {
     // |long| = 4096, |short| = 3, intersection = {128, 2048} (support 2).
-    let long = TidList::from_unsorted(0..4096u32);
-    let short = TidList::from_unsorted([128u32, 2048, 5000]);
-    for (label, a, b) in [
-        (
-            "gallop-skew",
-            GallopList(short.clone()).join_bounded(&GallopList(long.clone()), 2),
-            GallopList(short.clone()).join_bounded(&GallopList(long.clone()), 3),
-        ),
-        (
-            "chunked-skew",
-            ChunkedList(short.clone())
-                .join_bounded(&ChunkedList(long.clone()), 2)
-                .map(|j| GallopList(j.0)),
-            ChunkedList(short.clone())
-                .join_bounded(&ChunkedList(long.clone()), 3)
-                .map(|j| GallopList(j.0)),
-        ),
-    ] {
-        assert_eq!(
-            a.map(|j| j.support()),
-            Some(2),
-            "{label}: support-2 candidate at minsup=2 must survive"
-        );
-        assert!(b.is_none(), "{label}: support 2 must be pruned at minsup=3");
-    }
+    let long = GallopList(TidList::from_unsorted(0..4096u32));
+    let short = GallopList(TidList::from_unsorted([128u32, 2048, 5000]));
+    let m = &mut OpMeter::new();
+    assert_eq!(
+        short.join(&long, Some(2), m).map(|j| j.support()),
+        Some(2),
+        "support-2 candidate at minsup=2 must survive"
+    );
+    assert!(
+        short.join(&long, Some(3), m).is_none(),
+        "support 2 must be pruned at minsup=3"
+    );
 }

@@ -1,14 +1,14 @@
-//! Kernel-equivalence properties on *adversarial* inputs: galloping,
-//! chunked (8-lane), and bitmap joins must agree element-for-element with
-//! the two-pointer merge, and every `*_bounded` variant must be exactly a
-//! frequency filter — including on the shapes that historically break
-//! search-based kernels (empty operands, single elements, all-equal runs,
-//! disjoint tails, and tids at `u32::MAX` where `hi = base + stride + 1`
-//! style bounds can overflow or clamp wrong).
+//! Kernel-equivalence properties on *adversarial* inputs: galloping and
+//! bitmap joins must agree element-for-element with the two-pointer
+//! merge, and every bounded join must be exactly a frequency filter —
+//! including on the shapes that historically break search-based kernels
+//! (empty operands, single elements, all-equal runs, disjoint tails, and
+//! tids at `u32::MAX` where `hi = base + stride + 1` style bounds can
+//! overflow or clamp wrong).
 
-use mining_types::{OpMeter, Tid};
+use mining_types::OpMeter;
 use proptest::prelude::*;
-use tidlist::{BitmapSet, ChunkedList, GallopList, IntersectOutcome, TidList, TidSet};
+use tidlist::{BitmapSet, GallopList, TidList, TidSet};
 
 /// One tid-list drawn from a menu of adversarial shapes.
 fn adversarial() -> impl Strategy<Value = Vec<u32>> {
@@ -66,66 +66,55 @@ fn raw(t: &TidList) -> Vec<u32> {
     t.tids().iter().map(|t| t.0).collect()
 }
 
+fn meet(a: &TidList, b: &TidList) -> TidList {
+    a.intersect(b, None, &mut OpMeter::new()).unwrap()
+}
+
 proptest! {
-    /// Satellite 1: `gallop_intersect` and both chunked kernels are
-    /// drop-in replacements for the two-pointer merge.
+    /// The adaptive kernel (galloping on skewed operands) is a drop-in
+    /// replacement for the two-pointer merge, in either operand order.
     #[test]
-    fn search_kernels_match_two_pointer(ab in adversarial_pair()) {
+    fn adaptive_kernel_matches_two_pointer(ab in adversarial_pair()) {
         let (a, b) = ab;
         let ta = TidList::from_unsorted(a.iter().copied());
         let tb = TidList::from_unsorted(b.iter().copied());
-        let expect = raw(&ta.intersect(&tb));
-        prop_assert_eq!(raw(&ta.gallop_intersect(&tb)), expect.clone());
-        prop_assert_eq!(raw(&tb.gallop_intersect(&ta)), expect.clone());
-        prop_assert_eq!(raw(&ta.intersect_chunked(&tb)), expect.clone());
-        prop_assert_eq!(raw(&tb.intersect_chunked(&ta)), expect.clone());
-        prop_assert_eq!(raw(&ta.gallop_intersect_chunked(&tb)), expect.clone());
-        prop_assert_eq!(raw(&ta.intersect_chunked_adaptive(&tb)), expect.clone());
-        // Metered variants compute the same list.
+        let expect = raw(&meet(&ta, &tb));
         let mut m = OpMeter::new();
-        prop_assert_eq!(raw(&ta.intersect_chunked_metered(&tb, &mut m)), expect.clone());
-        prop_assert_eq!(raw(&ta.gallop_intersect_chunked_metered(&tb, &mut m)), expect);
+        prop_assert_eq!(raw(&ta.intersect_adaptive(&tb, &mut m)), expect.clone());
+        prop_assert_eq!(raw(&tb.intersect_adaptive(&ta, &mut m)), expect);
     }
 
-    /// Every bounded kernel is *exactly* a frequency filter: `Frequent`
-    /// iff the full intersection meets `minsup`, with identical contents.
+    /// The bounded merge is *exactly* a frequency filter: `Some` iff the
+    /// full intersection meets `minsup`, with identical contents.
     #[test]
-    fn bounded_kernels_are_frequency_filters(
+    fn bounded_kernel_is_a_frequency_filter(
         ab in adversarial_pair(),
         minsup in 1u32..48,
     ) {
         let (a, b) = ab;
         let ta = TidList::from_unsorted(a.iter().copied());
         let tb = TidList::from_unsorted(b.iter().copied());
-        let full = ta.intersect(&tb);
-        for outcome in [
-            ta.intersect_bounded(&tb, minsup),
-            ta.intersect_chunked_bounded(&tb, minsup),
-            ta.intersect_chunked_bounded_metered(&tb, minsup, &mut OpMeter::new()),
-        ] {
-            match outcome {
-                IntersectOutcome::Frequent(list) => {
-                    prop_assert!(full.support() >= minsup);
-                    prop_assert_eq!(&list, &full);
-                }
-                IntersectOutcome::Infrequent => prop_assert!(full.support() < minsup),
+        let full = meet(&ta, &tb);
+        match ta.intersect(&tb, Some(minsup), &mut OpMeter::new()) {
+            Some(list) => {
+                prop_assert!(full.support() >= minsup);
+                prop_assert_eq!(&list, &full);
             }
+            None => prop_assert!(full.support() < minsup),
         }
     }
 
-    /// The `TidSet` wrappers (gallop / chunked) honour the same contract
-    /// through the trait surface used by the mining kernel.
+    /// The gallop wrapper honours the same contract through the trait
+    /// surface used by the mining kernel.
     #[test]
-    fn tidset_wrappers_agree(ab in adversarial_pair(), minsup in 1u32..48) {
+    fn gallop_wrapper_agrees(ab in adversarial_pair(), minsup in 1u32..48) {
         let (a, b) = ab;
-        let ta = TidList::from_unsorted(a.iter().copied());
-        let tb = TidList::from_unsorted(b.iter().copied());
-        let full = ta.intersect(&tb);
-        let g = GallopList(ta.clone()).join(&GallopList(tb.clone()));
-        prop_assert_eq!(&g.0, &full);
-        let c = ChunkedList(ta.clone()).join(&ChunkedList(tb.clone()));
-        prop_assert_eq!(&c.0, &full);
-        match ChunkedList(ta.clone()).join_bounded(&ChunkedList(tb.clone()), minsup) {
+        let ta = GallopList(TidList::from_unsorted(a.iter().copied()));
+        let tb = GallopList(TidList::from_unsorted(b.iter().copied()));
+        let full = meet(&ta.0, &tb.0);
+        let m = &mut OpMeter::new();
+        prop_assert_eq!(&ta.join(&tb, None, m).unwrap().0, &full);
+        match ta.join(&tb, Some(minsup), m) {
             Some(j) => {
                 prop_assert!(full.support() >= minsup);
                 prop_assert_eq!(&j.0, &full);
@@ -152,9 +141,10 @@ proptest! {
             BitmapSet::from_tidlist(&tb, base, words),
         );
         prop_assert_eq!(ba.to_tidlist(), ta.clone());
-        let full = ta.intersect(&tb);
-        prop_assert_eq!(ba.join(&bb).to_tidlist(), full.clone());
-        match ba.join_bounded(&bb, minsup) {
+        let full = meet(&ta, &tb);
+        let m = &mut OpMeter::new();
+        prop_assert_eq!(ba.join(&bb, None, m).unwrap().to_tidlist(), full.clone());
+        match ba.join(&bb, Some(minsup), m) {
             Some(j) => {
                 prop_assert!(full.support() >= minsup);
                 prop_assert_eq!(j.to_tidlist(), full);
@@ -174,33 +164,9 @@ proptest! {
             TidList::from_unsorted(b.iter().copied()),
             TidList::from_unsorted(c.iter().copied()),
         );
-        let merge = ta.intersect(&tb).intersect(&tc);
-        prop_assert_eq!(ta.gallop_intersect(&tb).gallop_intersect(&tc), merge.clone());
-        prop_assert_eq!(ta.intersect_chunked(&tb).intersect_chunked(&tc), merge);
+        let merge = meet(&meet(&ta, &tb), &tc);
+        let m = &mut OpMeter::new();
+        let galloped = ta.intersect_adaptive(&tb, m).intersect_adaptive(&tc, m);
+        prop_assert_eq!(galloped, merge);
     }
-}
-
-/// The specific regression the galloping bound is prone to: a final block
-/// where `base + stride + 1` overshoots the operand — probing must clamp
-/// to the real end and still find a match sitting exactly at `len - 1`.
-#[test]
-fn gallop_final_block_hits_last_element() {
-    for long_len in [1usize, 2, 3, 7, 8, 9, 15, 16, 17, 31, 33, 100] {
-        let long = TidList::from_unsorted((0..long_len as u32).map(|i| i * 3));
-        let last = long.tids().last().copied().unwrap_or(Tid(0)).0;
-        let short = TidList::from_unsorted([last]);
-        let hit = short.gallop_intersect(&long);
-        assert_eq!(
-            hit.support(),
-            1,
-            "missed final element, long_len={long_len}"
-        );
-        assert_eq!(raw(&hit), vec![last]);
-        assert_eq!(raw(&short.gallop_intersect_chunked(&long)), vec![last]);
-    }
-    // And at the very top of the tid space.
-    let long = TidList::from_unsorted([u32::MAX - 64, u32::MAX - 1, u32::MAX]);
-    let short = TidList::from_unsorted([u32::MAX]);
-    assert_eq!(raw(&short.gallop_intersect(&long)), vec![u32::MAX]);
-    assert_eq!(raw(&short.gallop_intersect_chunked(&long)), vec![u32::MAX]);
 }

@@ -2,10 +2,11 @@
 //! with a naive `BTreeSet` model, and the short-circuit must be *exactly*
 //! a frequency test, never changing which itemsets qualify.
 
+use mining_types::OpMeter;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use tidlist::diffset::{reconstruct_tidlist, DiffSet};
-use tidlist::{IntersectOutcome, TidList};
+use tidlist::TidList;
 
 fn tidset() -> impl Strategy<Value = Vec<u32>> {
     proptest::collection::vec(0u32..500, 0..120)
@@ -17,6 +18,10 @@ fn model(v: &[u32]) -> BTreeSet<u32> {
 
 fn to_raw(t: &TidList) -> Vec<u32> {
     t.tids().iter().map(|t| t.0).collect()
+}
+
+fn meet(a: &TidList, b: &TidList) -> TidList {
+    a.intersect(b, None, &mut OpMeter::new()).unwrap()
 }
 
 proptest! {
@@ -32,12 +37,10 @@ proptest! {
         let ta = TidList::from_unsorted(a.iter().copied());
         let tb = TidList::from_unsorted(b.iter().copied());
         let expect: Vec<u32> = model(&a).intersection(&model(&b)).copied().collect();
-        prop_assert_eq!(to_raw(&ta.intersect(&tb)), expect.clone());
-        prop_assert_eq!(to_raw(&ta.gallop_intersect(&tb)), expect.clone());
-        prop_assert_eq!(to_raw(&ta.intersect_adaptive(&tb)), expect.clone());
-        prop_assert_eq!(ta.intersect_count(&tb) as usize, expect.len());
+        prop_assert_eq!(to_raw(&meet(&ta, &tb)), expect.clone());
+        prop_assert_eq!(to_raw(&ta.intersect_adaptive(&tb, &mut OpMeter::new())), expect);
         // commutativity
-        prop_assert_eq!(ta.intersect(&tb), tb.intersect(&ta));
+        prop_assert_eq!(meet(&ta, &tb), meet(&tb, &ta));
     }
 
     #[test]
@@ -46,21 +49,27 @@ proptest! {
         let tb = TidList::from_unsorted(b.iter().copied());
         let u: Vec<u32> = model(&a).union(&model(&b)).copied().collect();
         let d: Vec<u32> = model(&a).difference(&model(&b)).copied().collect();
-        prop_assert_eq!(to_raw(&ta.union(&tb)), u);
-        prop_assert_eq!(to_raw(&ta.difference(&tb)), d);
+        let m = &mut OpMeter::new();
+        prop_assert_eq!(to_raw(&ta.union(&tb, m)), u);
+        prop_assert_eq!(to_raw(&ta.difference(&tb, None, m).unwrap()), d.clone());
+        // A budget is exactly a size filter on the difference.
+        for budget in [0usize, 1, 5, 40] {
+            let bounded = ta.difference(&tb, Some(budget), m).map(|t| to_raw(&t));
+            prop_assert_eq!(bounded, (d.len() <= budget).then(|| d.clone()));
+        }
     }
 
     #[test]
     fn bounded_is_exactly_a_frequency_filter(a in tidset(), b in tidset(), minsup in 1u32..40) {
         let ta = TidList::from_unsorted(a.iter().copied());
         let tb = TidList::from_unsorted(b.iter().copied());
-        let full = ta.intersect(&tb);
-        match ta.intersect_bounded(&tb, minsup) {
-            IntersectOutcome::Frequent(list) => {
+        let full = meet(&ta, &tb);
+        match ta.intersect(&tb, Some(minsup), &mut OpMeter::new()) {
+            Some(list) => {
                 prop_assert!(full.support() >= minsup);
                 prop_assert_eq!(list, full);
             }
-            IntersectOutcome::Infrequent => {
+            None => {
                 prop_assert!(full.support() < minsup);
             }
         }
@@ -84,19 +93,20 @@ proptest! {
         // Force t(B), t(C) ⊆ t(A) so the diffset precondition (same prefix)
         // holds: treat A as the common prefix.
         let ta = TidList::from_unsorted(pa.iter().copied());
-        let tb = ta.intersect(&TidList::from_unsorted(pb.iter().copied()));
-        let tc = ta.intersect(&TidList::from_unsorted(pc.iter().copied()));
-        let dab = DiffSet::from_tidlists(&ta, &tb);
-        let dac = DiffSet::from_tidlists(&ta, &tc);
+        let tb = meet(&ta, &TidList::from_unsorted(pb.iter().copied()));
+        let tc = meet(&ta, &TidList::from_unsorted(pc.iter().copied()));
+        let m = &mut OpMeter::new();
+        let dab = DiffSet::from_tidlists(&ta, &tb, None, m).unwrap();
+        let dac = DiffSet::from_tidlists(&ta, &tc, None, m).unwrap();
         prop_assert_eq!(dab.support, tb.support());
-        let dabc = dab.join(&dac);
-        let tab = ta.intersect(&tb);
-        let tabc = tab.intersect(&tc);
+        let dabc = dab.join(&dac, None, m).unwrap();
+        let tab = meet(&ta, &tb);
+        let tabc = meet(&tab, &tc);
         prop_assert_eq!(dabc.support, tabc.support());
         prop_assert_eq!(reconstruct_tidlist(&tab, &dabc), tabc.clone());
         // bounded join agrees wherever it returns Some
         for minsup in [1u32, 2, 5, 20] {
-            match dab.join_bounded(&dac, minsup) {
+            match dab.join(&dac, Some(minsup), m) {
                 Some(d) => {
                     prop_assert!(tabc.support() >= minsup);
                     prop_assert_eq!(d.support, tabc.support());
@@ -111,9 +121,9 @@ proptest! {
         prop_assume!(!a.is_empty() && !b.is_empty());
         let ta = TidList::from_unsorted(a.iter().copied());
         let tb = TidList::from_unsorted(b.iter().copied());
-        let mut m = mining_types::OpMeter::new();
-        let r1 = ta.intersect_metered(&tb, &mut m);
-        prop_assert_eq!(r1, ta.intersect(&tb));
+        let mut m = OpMeter::new();
+        let r1 = ta.intersect(&tb, None, &mut m);
+        prop_assert_eq!(r1, Some(meet(&ta, &tb)));
         prop_assert!(m.tid_cmp >= 1);
         prop_assert!(m.tid_cmp as usize <= ta.len() + tb.len());
     }

@@ -61,10 +61,7 @@ fn main() {
         let pairs: Vec<_> = l2.iter().zip(lists).map(|(&(a, b), t)| (a, b, t)).collect();
         let mut out = FrequentSet::new();
         for class in eclat::equivalence::classes_of_l2(pairs) {
-            for mem in &class.members {
-                out.insert(mem.itemset.clone(), mem.tids.support());
-            }
-            eclat::pipeline::compute_class(class, threshold, &cfg, &mut m, &mut out);
+            eclat::pipeline::mine_class(class, threshold, &cfg, &mut m, &mut out);
         }
         out
     });

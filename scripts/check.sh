@@ -144,6 +144,16 @@ cargo run -q --release -p eclat-cli -- serve --load "$tmpdir/huge.snap" \
 test "$status" -eq 2
 grep -q "^error: read " "$tmpdir/huge_serve.err"
 
+echo "==> hostile item id: eclat seq mines a lone u32::MAX item and verifies"
+# A 36-byte .ecs: one sequence, one event, whose only item is u32::MAX.
+# Per-item state is sized by the items that occur, never by their value.
+printf 'SLCE\x01\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x01\x00\x00\x00\x01\x00\x00\x00\xff\xff\xff\xff' \
+    > "$tmpdir/huge_item.ecs"
+test "$(wc -c < "$tmpdir/huge_item.ecs")" -eq 36
+cargo run -q --release -p eclat-cli -- seq --input "$tmpdir/huge_item.ecs" \
+    --minsup 50 --verify > "$tmpdir/huge_item.out"
+grep -q "\[verified\]" "$tmpdir/huge_item.out"
+
 echo "==> streambench --smoke (incremental vs full re-mine, equality-asserted)"
 cargo run -q --release -p repro-bench --bin streambench -- --smoke \
     --json=results/streambench_smoke.json

@@ -121,7 +121,7 @@ fn every_representation_agrees_on_quest_data() {
         Representation::AutoSwitch { depth: 3 },
         Representation::Bitmap,
         Representation::AutoDensity { permille: 8 },
-        // Extremes force the pure-chunked and pure-bitmap arms.
+        // Extremes force the pure-diffset and pure-bitmap arms.
         Representation::AutoDensity { permille: 0 },
         Representation::AutoDensity { permille: 1000 },
     ] {
@@ -157,7 +157,7 @@ fn every_representation_agrees_on_quest_data() {
 
 /// The same representation matrix on a *dense* synthetic database — the
 /// regime the bitmap representation targets, where auto-density actually
-/// selects bitmaps (on sparse Quest data it stays on chunked lists).
+/// selects bitmaps (on sparse Quest data it stays on diffsets).
 #[test]
 fn every_representation_agrees_on_dense_data() {
     use eclat::Representation;
