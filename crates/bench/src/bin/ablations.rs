@@ -442,8 +442,8 @@ fn main() {
         let events = eclat_obs::trace::drain().events.len();
         println!("    disabled: {off:.3}s  (best of 2, warmup {warm:.3}s)");
         println!("    enabled : {on:.3}s  ({events} events recorded)");
-        // Gate, not just a report: the disabled path is one relaxed
-        // atomic load per span, so two disabled runs must stay in the
+        // Gate, not just a report: the disabled path is a clock read and
+        // one relaxed atomic load per span, so two disabled runs stay in the
         // same ballpark (generous noise margin for CI), and armed rings
         // must not blow the run up either.
         assert!(

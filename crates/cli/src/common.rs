@@ -115,6 +115,18 @@ pub(crate) fn arm_tracing(rank: u32) {
     eclat_obs::trace::set_enabled(true);
 }
 
+/// Drain the tracer into `path`, the `--trace PATH` of a single-process
+/// command, and return the report line naming it.
+pub(crate) fn write_trace(path: &str) -> Result<String, String> {
+    let doc = eclat_obs::trace::render_jsonl();
+    std::fs::write(path, &doc).map_err(|e| format!("write {path}: {e}"))?;
+    // One meta line, the rest events/dropped records.
+    Ok(format!(
+        "trace: {} records -> {path}\n",
+        doc.lines().count().saturating_sub(1)
+    ))
+}
+
 /// Parse a comma-separated item list ("3,17,42") into an [`Itemset`].
 ///
 /// [`Itemset`]: mining_types::Itemset

@@ -97,12 +97,12 @@ mod common;
 mod seq;
 
 use common::{
-    arm_tracing, parse_flags, parse_items, parse_mem_budget, stats_mode, support_of, Flags,
-    StatsMode,
+    arm_tracing, parse_flags, parse_items, parse_mem_budget, stats_mode, support_of, write_trace,
+    Flags, StatsMode,
 };
 use dbstore::{binfmt, HorizontalDb};
 use memchannel::{ClusterConfig, CostModel};
-use mining_types::{FrequentSet, MinSupport, OpMeter, TriangleMatrix};
+use mining_types::{FrequentSet, MinSupport, MiningStats, OpMeter, TriangleMatrix};
 use questgen::{QuestGenerator, QuestParams, SeqGenerator, SeqParams};
 use std::fmt::Write as _;
 use std::fs::File;
@@ -326,28 +326,6 @@ fn representation_of(flags: &Flags) -> Result<eclat::Representation, String> {
     }
 }
 
-fn mine_by_algorithm(
-    db: &HorizontalDb,
-    minsup: MinSupport,
-    algorithm: &str,
-    representation: eclat::Representation,
-) -> Result<FrequentSet, String> {
-    let mut meter = OpMeter::new();
-    let cfg = eclat::EclatConfig::with_representation(representation);
-    Ok(match algorithm {
-        "eclat" => eclat::sequential::mine_with(db, minsup, &cfg, &mut meter),
-        "parallel" => eclat::parallel::mine_with(db, minsup, &cfg, &mut meter),
-        "apriori" => {
-            if representation != eclat::Representation::default() {
-                return Err("--representation applies to the eclat variants only".to_string());
-            }
-            apriori::mine(db, minsup)
-        }
-        "clique" => eclat::clique::mine_with(db, minsup, &cfg, &mut meter),
-        other => return Err(format!("unknown algorithm '{other}'")),
-    })
-}
-
 /// Per-size counts plus the top-supported itemsets — shared by `mine`
 /// and `dmine` so their reports are identical after the headline.
 fn render_frequent_body(fs: &FrequentSet, min_size: usize, top: usize) -> String {
@@ -427,39 +405,37 @@ fn cmd_mine(flags: &Flags) -> Result<String, String> {
     let min_size: usize = flags.parse("min-size", 2usize)?;
     let top: usize = flags.parse("top", 20usize)?;
     let stats = stats_mode(flags)?;
-    let trace_path = flags.get("trace").map(str::to_string);
+    let trace_path = flags.get("trace");
     if trace_path.is_some() {
         arm_tracing(0);
     }
 
+    // The eclat variants always mine with the stats report (its cost is a
+    // few counters per phase and class); it is printed only under --stats,
+    // which refuses apriori and clique, so their empty report never is.
     let t0 = std::time::Instant::now();
-    let mut report = None;
-    let fs = if flags.has("maximal") {
-        let cfg = eclat::EclatConfig::with_representation(representation);
-        if stats != StatsMode::Off {
-            let (fs, r) =
-                eclat::maximal::mine_maximal_stats(&db, minsup, &cfg, &mut OpMeter::new());
-            report = Some(r);
-            fs
-        } else {
-            eclat::maximal::mine_maximal_with(&db, minsup, &cfg, &mut OpMeter::new())
+    let cfg = eclat::EclatConfig::with_representation(representation);
+    let mut meter = OpMeter::new();
+    let (fs, report) = match algorithm {
+        _ if flags.has("maximal") => {
+            eclat::maximal::mine_maximal_stats(&db, minsup, &cfg, &mut meter)
         }
-    } else if stats != StatsMode::Off {
-        let cfg = eclat::EclatConfig::with_representation(representation);
-        let mut meter = OpMeter::new();
-        let (fs, r) = match algorithm {
-            "eclat" => eclat::sequential::mine_stats(&db, minsup, &cfg, &mut meter),
-            "parallel" => eclat::parallel::mine_stats(&db, minsup, &cfg, &mut meter),
-            other => {
-                return Err(format!(
-                    "--stats supports --algorithm eclat|parallel, not '{other}'"
-                ))
-            }
-        };
-        report = Some(r);
-        fs
-    } else {
-        mine_by_algorithm(&db, minsup, algorithm, representation)?
+        "eclat" => eclat::sequential::mine_stats(&db, minsup, &cfg, &mut meter),
+        "parallel" => eclat::parallel::mine_stats(&db, minsup, &cfg, &mut meter),
+        other if stats != StatsMode::Off => {
+            return Err(format!(
+                "--stats supports --algorithm eclat|parallel, not '{other}'"
+            ))
+        }
+        "apriori" if representation != eclat::Representation::default() => {
+            return Err("--representation applies to the eclat variants only".to_string())
+        }
+        "apriori" => (apriori::mine(&db, minsup), MiningStats::default()),
+        "clique" => {
+            let fs = eclat::clique::mine_with(&db, minsup, &cfg, &mut meter);
+            (fs, MiningStats::default())
+        }
+        other => return Err(format!("unknown algorithm '{other}'")),
     };
     let dt = t0.elapsed().as_secs_f64();
 
@@ -470,24 +446,10 @@ fn cmd_mine(flags: &Flags) -> Result<String, String> {
         }
         None => None,
     };
-
-    let trace_msg = match &trace_path {
-        Some(path) => {
-            let doc = eclat_obs::trace::render_jsonl();
-            std::fs::write(path, &doc).map_err(|e| format!("write {path}: {e}"))?;
-            // One meta line, the rest events/dropped records.
-            Some(format!(
-                "trace: {} records -> {path}\n",
-                doc.lines().count().saturating_sub(1)
-            ))
-        }
-        None => None,
-    };
+    let trace_msg = trace_path.map(write_trace).transpose()?;
 
     if stats == StatsMode::Json {
-        let mut json = report
-            .expect("json mode always mines with stats")
-            .to_json(true);
+        let mut json = report.to_json(true);
         json.push('\n');
         return Ok(json);
     }
@@ -510,9 +472,9 @@ fn cmd_mine(flags: &Flags) -> Result<String, String> {
     if let Some(msg) = trace_msg {
         out.push_str(&msg);
     }
-    if let Some(r) = &report {
+    if stats == StatsMode::Human {
         out.push('\n');
-        out.push_str(&r.render());
+        out.push_str(&report.render());
     }
     Ok(out)
 }
@@ -912,7 +874,7 @@ fn cmd_stream(flags: &Flags) -> Result<String, String> {
     let stats = stats_mode(flags)?;
     let verify = flags.has("verify");
     let out_path = flags.get("out").map(str::to_string);
-    let trace_path = flags.get("trace").map(str::to_string);
+    let trace_path = flags.get("trace");
     if trace_path.is_some() {
         arm_tracing(0);
     }
@@ -976,6 +938,7 @@ fn cmd_stream(flags: &Flags) -> Result<String, String> {
         run.push(bstats);
     }
     let dt = t0.elapsed().as_secs_f64();
+    let trace_msg = trace_path.map(write_trace).transpose()?;
 
     if stats == StatsMode::Json {
         let mut json = run.to_json();
@@ -995,14 +958,8 @@ fn cmd_stream(flags: &Flags) -> Result<String, String> {
     if let Some(path) = &out_path {
         let _ = writeln!(out, "snapshot -> {path}");
     }
-    if let Some(path) = &trace_path {
-        let doc = eclat_obs::trace::render_jsonl();
-        std::fs::write(path, &doc).map_err(|e| format!("write {path}: {e}"))?;
-        let _ = writeln!(
-            out,
-            "trace: {} records -> {path}",
-            doc.lines().count().saturating_sub(1)
-        );
+    if let Some(msg) = trace_msg {
+        out.push_str(&msg);
     }
     if stats == StatsMode::Human {
         out.push('\n');

@@ -15,7 +15,7 @@
 //! loudly on any divergence — the `check.sh` diff gate runs exactly
 //! that.
 
-use crate::common::{arm_tracing, stats_mode, support_of, Flags, StatsMode};
+use crate::common::{arm_tracing, stats_mode, support_of, write_trace, Flags, StatsMode};
 use dbstore::seqfmt;
 use eclat::pipeline::FixedThreads;
 use eclat_seq::{mine_stats, reference, SeqConfig, SeqDb, SeqStats};
@@ -63,7 +63,7 @@ pub(crate) fn cmd_seq(flags: &Flags) -> Result<String, String> {
         .map_err(|_| "--maxlen: expected a pattern-length cap".to_string())?;
     let top: usize = flags.parse("top", 20usize)?;
     let stats = stats_mode(flags)?;
-    let trace_path = flags.get("trace").map(str::to_string);
+    let trace_path = flags.get("trace");
     if trace_path.is_some() {
         arm_tracing(0);
     }
@@ -107,17 +107,7 @@ pub(crate) fn cmd_seq(flags: &Flags) -> Result<String, String> {
         None => None,
     };
 
-    let trace_msg = match &trace_path {
-        Some(path) => {
-            let doc = eclat_obs::trace::render_jsonl();
-            std::fs::write(path, &doc).map_err(|e| format!("write {path}: {e}"))?;
-            Some(format!(
-                "trace: {} records -> {path}\n",
-                doc.lines().count().saturating_sub(1)
-            ))
-        }
-        None => None,
-    };
+    let trace_msg = trace_path.map(write_trace).transpose()?;
 
     let report = SeqStats::from_run(&db, &cfg, &fs, mining);
     if stats == StatsMode::Json {

@@ -45,8 +45,15 @@ fn mine_trace_roundtrips_to_chrome() {
     generate(&db);
 
     // With `--stats` and without it: both run the one pipeline body, so
-    // both trace its phases.
-    for stats in [&["--stats"][..], &[]] {
+    // both trace its phases; the pipeline spans its phases, the kernels
+    // span their scans, and phase 3 spans each equivalence class.
+    // MaxEclat spans its four phases, the reduction included.
+    let pipeline = ["init", "transform", "async", "scan:count_pairs", "class"];
+    for (extra, want) in [
+        (&["--stats"][..], &pipeline[..]),
+        (&[], &pipeline[..]),
+        (&["--maximal"], &["init", "transform", "async", "reduce"]),
+    ] {
         let mut args = vec![
             "mine",
             "--input",
@@ -58,7 +65,7 @@ fn mine_trace_roundtrips_to_chrome() {
             "--trace",
             trace.to_str().unwrap(),
         ];
-        args.extend_from_slice(stats);
+        args.extend_from_slice(extra);
         let mined = eclat(&args);
         assert!(mined.contains("trace: "), "{mined}");
 
@@ -70,12 +77,10 @@ fn mine_trace_roundtrips_to_chrome() {
             chrome.to_str().unwrap(),
         ]);
         assert!(report.contains("valid trace"), "{report}");
-        // The pipeline spans its phases; the kernels span their scans;
-        // phase 3 spans each equivalence class.
-        for name in ["init", "transform", "async", "scan:count_pairs", "class"] {
+        for name in want {
             assert!(
                 report.contains(name),
-                "missing span '{name}' with {stats:?}: {report}"
+                "missing span '{name}' with {extra:?}: {report}"
             );
         }
 

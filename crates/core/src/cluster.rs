@@ -29,7 +29,7 @@ use crate::transform::{build_pair_tidlists, count_items, count_pairs, index_pair
 use dbstore::{BlockPartition, HorizontalDb};
 use memchannel::collective::{broadcast_all, lockstep_exchange, sum_reduce, BarrierSeq};
 use memchannel::{ClusterConfig, CostModel, Timeline, TraceRecorder};
-use mining_types::stats::{MiningStats, PhaseStats};
+use mining_types::stats::MiningStats;
 use mining_types::{FrequentSet, ItemId, MinSupport, OpMeter};
 use tidlist::TidList;
 
@@ -142,34 +142,22 @@ pub fn mine_cluster(
 
     if l2.is_empty() {
         // Nothing to transform or mine; close out the trace.
-        for rec in &mut recorders {
-            rec.phase(PHASE_REDUCE);
-        }
         let bytes = result_bytes(&out);
-        sum_reduce(&mut recorders, &vec![0; t], bytes, &mut barriers);
-        let traces: Vec<_> = recorders.into_iter().map(|r| r.finish()).collect();
-        let timeline = memchannel::des::replay(cluster, cost, &traces);
-        for (label, ops) in [(PHASE_INIT, init_ops), (PHASE_REDUCE, OpMeter::new())] {
-            stats.phases.push(PhaseStats {
-                label: label.to_string(),
-                secs: timeline.phase_secs(label),
-                ops,
-            });
-        }
-        stats.num_frequent = out.len() as u64;
-        stats.total_ops = init_ops;
-        stats.cluster = Some(memchannel::stats::cluster_stats(&timeline, &traces));
-        return ClusterReport {
-            frequent: out,
-            timeline,
-            assignment: Assignment {
-                owner: vec![],
-                load: vec![0; t],
-            },
-            exchange_rounds: 0,
-            num_l2: 0,
-            stats,
+        let no_classes = Assignment {
+            owner: vec![],
+            load: vec![0; t],
         };
+        return reduce_and_report(
+            cluster,
+            cost,
+            recorders,
+            &mut barriers,
+            (&vec![0; t], bytes),
+            &[(PHASE_INIT, init_ops)],
+            stats,
+            out,
+            (no_classes, 0, 0),
+        );
     }
 
     // ---------------- Transformation phase ----------------
@@ -278,37 +266,66 @@ pub fn mine_cluster(
     // ---------------- Final reduction phase ----------------
     let result_sizes: Vec<u64> = local_results.iter().map(result_bytes).collect();
     let total_result: u64 = result_sizes.iter().sum();
-    for rec in recorders.iter_mut() {
-        rec.phase(PHASE_REDUCE);
-    }
-    sum_reduce(&mut recorders, &result_sizes, total_result, &mut barriers);
     for local in local_results {
         out.merge(local);
     }
+    reduce_and_report(
+        cluster,
+        cost,
+        recorders,
+        &mut barriers,
+        (&result_sizes, total_result),
+        &[
+            (PHASE_INIT, init_ops),
+            (PHASE_TRANSFORM, transform_ops),
+            (PHASE_ASYNC, async_ops),
+        ],
+        stats,
+        out,
+        (assignment, exchange_rounds, num_l2),
+    )
+}
 
+/// The end every simulated run shares, whichever phase it stops after:
+/// the final reduction, in which processor `p` sends `sizes[p]` result
+/// bytes and each processor receives `total`; the replay of the recorded
+/// traces against the cost model; and the report. `phase_ops` holds the
+/// merged op counts of the phases before the reduction, which moves no
+/// ops; every phase takes its seconds from the replayed timeline.
+/// `schedule` is the report's class assignment, exchange rounds and
+/// `|L2|`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn reduce_and_report(
+    cluster: &ClusterConfig,
+    cost: &CostModel,
+    mut recorders: Vec<TraceRecorder>,
+    barriers: &mut BarrierSeq,
+    (sizes, total): (&[u64], u64),
+    phase_ops: &[(&str, OpMeter)],
+    mut stats: MiningStats,
+    frequent: FrequentSet,
+    schedule: (Assignment, usize, usize),
+) -> ClusterReport {
+    for rec in recorders.iter_mut() {
+        rec.phase(PHASE_REDUCE);
+    }
+    sum_reduce(&mut recorders, sizes, total, barriers);
     let traces: Vec<_> = recorders.into_iter().map(|r| r.finish()).collect();
     let timeline = memchannel::des::replay(cluster, cost, &traces);
-    let mut total_ops = init_ops;
-    total_ops.merge(&transform_ops);
-    total_ops.merge(&async_ops);
-    for (label, ops) in [
-        (PHASE_INIT, init_ops),
-        (PHASE_TRANSFORM, transform_ops),
-        (PHASE_ASYNC, async_ops),
-        (PHASE_REDUCE, OpMeter::new()),
-    ] {
-        stats.phases.push(PhaseStats {
-            label: label.to_string(),
-            secs: timeline.phase_secs(label),
-            ops,
-        });
+    for &(label, ops) in phase_ops {
+        stats.push_phase(label, timeline.phase_secs(label), ops);
     }
+    stats.push_phase(
+        PHASE_REDUCE,
+        timeline.phase_secs(PHASE_REDUCE),
+        OpMeter::new(),
+    );
     stats.sort_classes();
-    stats.num_frequent = out.len() as u64;
-    stats.total_ops = total_ops;
+    stats.num_frequent = frequent.len() as u64;
     stats.cluster = Some(memchannel::stats::cluster_stats(&timeline, &traces));
+    let (assignment, exchange_rounds, num_l2) = schedule;
     ClusterReport {
-        frequent: out,
+        frequent,
         timeline,
         assignment,
         exchange_rounds,

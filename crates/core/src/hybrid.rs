@@ -24,14 +24,14 @@ use crate::pipeline::{self, ExecutionPolicy, Serial};
 use crate::schedule::{schedule_weights, shard_classes, Assignment};
 use crate::transform::{build_pair_tidlists, count_items, count_pairs, index_pairs};
 use dbstore::{BlockPartition, HorizontalDb};
-use memchannel::collective::{broadcast_all, lockstep_exchange, sum_reduce, BarrierSeq};
+use memchannel::collective::{broadcast_all, lockstep_exchange, BarrierSeq};
 use memchannel::{ClusterConfig, CostModel, TraceRecorder, BROADCAST};
-use mining_types::stats::{MiningStats, PhaseStats};
+use mining_types::stats::MiningStats;
 use mining_types::{FrequentSet, ItemId, MinSupport, OpMeter};
 use tidlist::TidList;
 
 use crate::cluster::{
-    result_bytes, ClusterReport, PHASE_ASYNC, PHASE_INIT, PHASE_REDUCE, PHASE_TRANSFORM,
+    reduce_and_report, result_bytes, ClusterReport, PHASE_ASYNC, PHASE_INIT, PHASE_TRANSFORM,
 };
 
 /// Run hybrid Eclat: host-level partitioning + intra-host work sharing.
@@ -117,34 +117,22 @@ pub fn mine_hybrid(
         stats.record_level(1, counted, inserted);
     }
     if l2.is_empty() {
-        for rec in &mut recorders {
-            rec.phase(PHASE_REDUCE);
-        }
         let bytes = result_bytes(&out);
-        sum_reduce(&mut recorders, &vec![0; t], bytes, &mut barriers);
-        let traces: Vec<_> = recorders.into_iter().map(|r| r.finish()).collect();
-        let timeline = memchannel::des::replay(cluster, cost, &traces);
-        for (label, ops) in [(PHASE_INIT, init_ops), (PHASE_REDUCE, OpMeter::new())] {
-            stats.phases.push(PhaseStats {
-                label: label.to_string(),
-                secs: timeline.phase_secs(label),
-                ops,
-            });
-        }
-        stats.num_frequent = out.len() as u64;
-        stats.total_ops = init_ops;
-        stats.cluster = Some(memchannel::stats::cluster_stats(&timeline, &traces));
-        return ClusterReport {
-            frequent: out,
-            timeline,
-            assignment: Assignment {
-                owner: vec![],
-                load: vec![0; h],
-            },
-            exchange_rounds: 0,
-            num_l2: 0,
-            stats,
+        let no_classes = Assignment {
+            owner: vec![],
+            load: vec![0; h],
         };
+        return reduce_and_report(
+            cluster,
+            cost,
+            recorders,
+            &mut barriers,
+            (&vec![0; t], bytes),
+            &[(PHASE_INIT, init_ops)],
+            stats,
+            out,
+            (no_classes, 0, 0),
+        );
     }
 
     // ---------------- Transformation ----------------
@@ -306,43 +294,24 @@ pub fn mine_hybrid(
     // ---------------- Final reduction ----------------
     let sizes: Vec<u64> = local_results.iter().map(result_bytes).collect();
     let total: u64 = sizes.iter().sum();
-    for rec in recorders.iter_mut() {
-        rec.phase(PHASE_REDUCE);
-    }
-    sum_reduce(&mut recorders, &sizes, total, &mut barriers);
     for fs in local_results {
         out.merge(fs);
     }
-
-    let traces: Vec<_> = recorders.into_iter().map(|r| r.finish()).collect();
-    let timeline = memchannel::des::replay(cluster, cost, &traces);
-    let mut total_ops = init_ops;
-    total_ops.merge(&transform_ops);
-    total_ops.merge(&async_ops);
-    for (label, ops) in [
-        (PHASE_INIT, init_ops),
-        (PHASE_TRANSFORM, transform_ops),
-        (PHASE_ASYNC, async_ops),
-        (PHASE_REDUCE, OpMeter::new()),
-    ] {
-        stats.phases.push(PhaseStats {
-            label: label.to_string(),
-            secs: timeline.phase_secs(label),
-            ops,
-        });
-    }
-    stats.sort_classes();
-    stats.num_frequent = out.len() as u64;
-    stats.total_ops = total_ops;
-    stats.cluster = Some(memchannel::stats::cluster_stats(&timeline, &traces));
-    ClusterReport {
-        frequent: out,
-        timeline,
-        assignment: host_assignment,
-        exchange_rounds,
-        num_l2,
+    reduce_and_report(
+        cluster,
+        cost,
+        recorders,
+        &mut barriers,
+        (&sizes, total),
+        &[
+            (PHASE_INIT, init_ops),
+            (PHASE_TRANSFORM, transform_ops),
+            (PHASE_ASYNC, async_ops),
+        ],
         stats,
-    }
+        out,
+        (host_assignment, exchange_rounds, num_l2),
+    )
 }
 
 #[cfg(test)]

@@ -27,9 +27,8 @@ use crate::pipeline::{
     PHASE_TRANSFORM,
 };
 use dbstore::HorizontalDb;
-use mining_types::stats::{ClassStats, KernelStats, MiningStats, PhaseStats};
+use mining_types::stats::{ClassStats, KernelStats, MiningStats};
 use mining_types::{FrequentSet, Itemset, MinSupport, OpMeter};
-use std::time::Instant;
 use tidlist::TidSet;
 
 /// Mine the maximal frequent itemsets (size ≥ 2).
@@ -63,32 +62,23 @@ pub fn mine_maximal_stats(
     let mut stats = MiningStats::new("maxeclat", "sequential", &cfg.representation.to_string());
     stats.transactions = db.num_transactions() as u64;
     stats.threshold = u64::from(threshold);
-    let start_ops = *meter;
 
     // --- Phase 1 (initialization, §5.1): triangular counts of all pairs.
-    let t_init = Instant::now();
+    let span = eclat_obs::trace::span(PHASE_INIT);
+    let before = *meter;
     let tri = Serial.count_pairs(db, meter);
     let l2 = pipeline::frequent_l2(&tri, threshold);
     stats.record_level(2, tri.cells() as u64, l2.len() as u64);
-    stats.phases.push(PhaseStats {
-        label: PHASE_INIT.to_string(),
-        secs: t_init.elapsed().as_secs_f64(),
-        ops: meter.since(&start_ops),
-    });
+    stats.push_phase(PHASE_INIT, span.finish(), meter.since(&before));
     if l2.is_empty() {
-        stats.total_ops = meter.since(&start_ops);
         return (FrequentSet::new(), stats);
     }
 
     // --- Phase 2 (transformation, §5.2.2): vertical tid-lists for L2.
-    let t_transform = Instant::now();
-    let ops_before_transform = *meter;
+    let span = eclat_obs::trace::span(PHASE_TRANSFORM);
+    let before = *meter;
     let classes = pipeline::vertical_classes(db, &l2, meter);
-    stats.phases.push(PhaseStats {
-        label: PHASE_TRANSFORM.to_string(),
-        secs: t_transform.elapsed().as_secs_f64(),
-        ops: meter.since(&ops_before_transform),
-    });
+    stats.push_phase(PHASE_TRANSFORM, span.finish(), meter.since(&before));
 
     // --- Phase 3 (asynchronous, §5.3): hybrid max search per class.
     // Collect candidate-maximal itemsets from every class, then filter
@@ -96,8 +86,8 @@ pub fn mine_maximal_stats(
     // class's result only if it is a subset — prefix classes make that
     // impossible for same-first-item sets, but e.g. {B,C} ∈ [B] is
     // subsumed by {A,B,C} ∈ [A], so the global pass is required).
-    let t_async = Instant::now();
-    let ops_before_async = *meter;
+    let span = eclat_obs::trace::span(PHASE_ASYNC);
+    let before = *meter;
     let mut candidates: Vec<(Itemset, u32)> = Vec::new();
     for class in classes {
         let mut cs = ClassStats {
@@ -116,15 +106,11 @@ pub fn mine_maximal_stats(
         stats.add_class(cs);
     }
     stats.sort_classes();
-    stats.phases.push(PhaseStats {
-        label: PHASE_ASYNC.to_string(),
-        secs: t_async.elapsed().as_secs_f64(),
-        ops: meter.since(&ops_before_async),
-    });
+    stats.push_phase(PHASE_ASYNC, span.finish(), meter.since(&before));
 
     // --- Phase 4 (reduction): global maximality filter.
-    let t_reduce = Instant::now();
-    let ops_before_reduce = *meter;
+    let span = eclat_obs::trace::span(PHASE_REDUCE);
+    let before = *meter;
     let mut out = FrequentSet::new();
     for (i, (is, sup)) in candidates.iter().enumerate() {
         let subsumed = candidates
@@ -135,13 +121,8 @@ pub fn mine_maximal_stats(
             out.insert(is.clone(), *sup);
         }
     }
-    stats.phases.push(PhaseStats {
-        label: PHASE_REDUCE.to_string(),
-        secs: t_reduce.elapsed().as_secs_f64(),
-        ops: meter.since(&ops_before_reduce),
-    });
+    stats.push_phase(PHASE_REDUCE, span.finish(), meter.since(&before));
     stats.num_frequent = out.len() as u64;
-    stats.total_ops = meter.since(&start_ops);
     (out, stats)
 }
 

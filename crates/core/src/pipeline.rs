@@ -30,7 +30,7 @@ use crate::equivalence::{classes_of_l2, EquivalenceClass};
 use crate::schedule::{schedule_weights, shard_classes, ScheduleHeuristic};
 use crate::transform::{build_pair_tidlists, count_items, count_pairs, index_pairs};
 use dbstore::HorizontalDb;
-use mining_types::stats::{ClassStats, KernelStats, MiningStats, PhaseStats};
+use mining_types::stats::{ClassStats, KernelStats, MiningStats};
 use mining_types::{FrequentSet, ItemId, Itemset, MinSupport, OpMeter, TriangleMatrix};
 use std::ops::Range;
 use std::sync::Mutex;
@@ -277,7 +277,8 @@ pub fn build_pair_tidlists_blocked(
 /// ~0 in-memory), and the merged operation counts of its shard.
 #[derive(Clone, Debug, Default)]
 pub struct ThreadReport {
-    /// Seconds this thread spent inside the mining kernel.
+    /// Seconds this thread spent inside the mining kernel: the sum of
+    /// its `class` spans.
     pub compute_secs: f64,
     /// Seconds this thread spent fetching classes (out-of-core faults).
     pub fetch_secs: f64,
@@ -322,13 +323,10 @@ where
                 let t_fetch = Instant::now();
                 let class = fetch(i)?;
                 rep.fetch_secs += t_fetch.elapsed().as_secs_f64();
-                let _class_span = eclat_obs::trace::span_arg("class", i as u64);
-                let t_mine = Instant::now();
-                tagged.push((
-                    i,
-                    mine_class(class, threshold, cfg, &mut rep.ops, &mut local),
-                ));
-                rep.compute_secs += t_mine.elapsed().as_secs_f64();
+                let span = eclat_obs::trace::span_arg("class", i as u64);
+                let cs = mine_class(class, threshold, cfg, &mut rep.ops, &mut local);
+                rep.compute_secs += span.finish();
+                tagged.push((i, cs));
             }
             Ok((local, tagged, rep))
         },
@@ -547,11 +545,10 @@ pub fn run_stats(
     stats.transactions = db.num_transactions() as u64;
     stats.threshold = u64::from(threshold);
     let mut out = FrequentSet::new();
-    let start_ops = *meter;
 
     // --- Phase 1 (initialization, §5.1).
-    let span_init = eclat_obs::trace::span(PHASE_INIT);
-    let t_init = Instant::now();
+    let span = eclat_obs::trace::span(PHASE_INIT);
+    let before = *meter;
     let tri = policy.count_pairs(db, meter);
     let l2 = frequent_l2(&tri, threshold);
     stats.record_level(2, tri.cells() as u64, l2.len() as u64);
@@ -559,48 +556,29 @@ pub fn run_stats(
         let (counted, inserted) = insert_frequent_singletons(db, threshold, meter, &mut out);
         stats.record_level(1, counted, inserted);
     }
-    stats.phases.push(PhaseStats {
-        label: PHASE_INIT.to_string(),
-        secs: t_init.elapsed().as_secs_f64(),
-        ops: meter.since(&start_ops),
-    });
-    drop(span_init);
+    stats.push_phase(PHASE_INIT, span.finish(), meter.since(&before));
     if l2.is_empty() {
         stats.num_frequent = out.len() as u64;
-        stats.total_ops = meter.since(&start_ops);
         return (out, stats);
     }
 
     // --- Phase 2 (transformation, §5.2.2).
-    let span_transform = eclat_obs::trace::span(PHASE_TRANSFORM);
-    let t_transform = Instant::now();
-    let ops_before_transform = *meter;
+    let span = eclat_obs::trace::span(PHASE_TRANSFORM);
+    let before = *meter;
     let classes = vertical_classes(db, &l2, meter);
-    stats.phases.push(PhaseStats {
-        label: PHASE_TRANSFORM.to_string(),
-        secs: t_transform.elapsed().as_secs_f64(),
-        ops: meter.since(&ops_before_transform),
-    });
-    drop(span_transform);
+    stats.push_phase(PHASE_TRANSFORM, span.finish(), meter.since(&before));
 
     // --- Phase 3 (asynchronous, §5.3).
-    let span_async = eclat_obs::trace::span(PHASE_ASYNC);
-    let t_async = Instant::now();
-    let ops_before_async = *meter;
+    let span = eclat_obs::trace::span(PHASE_ASYNC);
+    let before = *meter;
     let mut class_stats = Vec::new();
     policy.mine_classes(classes, threshold, cfg, meter, &mut out, &mut class_stats);
-    stats.phases.push(PhaseStats {
-        label: PHASE_ASYNC.to_string(),
-        secs: t_async.elapsed().as_secs_f64(),
-        ops: meter.since(&ops_before_async),
-    });
-    drop(span_async);
+    stats.push_phase(PHASE_ASYNC, span.finish(), meter.since(&before));
     for cs in class_stats {
         stats.add_class(cs);
     }
     stats.sort_classes();
     stats.num_frequent = out.len() as u64;
-    stats.total_ops = meter.since(&start_ops);
     (out, stats)
 }
 

@@ -22,10 +22,10 @@ use crate::NetError;
 use dbstore::{binfmt, BlockPartition, HorizontalDb};
 use eclat::schedule::schedule_l2;
 use eclat::EclatConfig;
-use mining_types::stats::{ClusterStats, MiningStats, PhaseStats, ProcStats};
+use mining_types::stats::{ClusterStats, MiningStats, ProcStats};
 use mining_types::{FrequentSet, ItemId, Itemset, MinSupport, OpMeter, TriangleMatrix};
 use std::net::TcpStream;
-use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
+use std::time::{Duration, SystemTime, UNIX_EPOCH};
 use wire::{read_frame, write_frame, Frame};
 
 /// Stats-report variant label of real distributed runs.
@@ -263,8 +263,7 @@ fn drive(
     }
 
     // ---- Initialization (§5.1): ship blocks, sum-reduce local counts.
-    let span_init = eclat_obs::trace::span(crate::PHASE_INIT);
-    let t_init = Instant::now();
+    let span = eclat_obs::trace::span(crate::PHASE_INIT);
     let partition = BlockPartition::equal_blocks(db.num_transactions(), num_workers);
     let (flags, repr_tag, repr_depth) = encode_config(&dist.cfg, dist.cfg.include_singletons);
     for c in conns.iter_mut() {
@@ -337,12 +336,7 @@ fn drive(
         }
         stats.record_level(1, item_counts.len() as u64, frequent_items);
     }
-    stats.phases.push(PhaseStats {
-        label: crate::PHASE_INIT.to_string(),
-        secs: t_init.elapsed().as_secs_f64(),
-        ops: OpMeter::new(), // filled from worker meters below
-    });
-    drop(span_init);
+    let init_secs = span.finish();
     eclat_obs::log_info!(
         "eclat-net",
         "run {run_id:#x}: L2 reduced to {num_l2} frequent pairs"
@@ -353,9 +347,12 @@ fn drive(
         for c in conns.iter_mut() {
             c.send(&Message::Goodbye { run_id })?;
         }
+        // The workers' init meters never come back: they only report
+        // with their results.
+        stats.push_phase(crate::PHASE_INIT, init_secs, OpMeter::new());
         stats.num_frequent = out.len() as u64;
         stats.cluster = Some(ClusterStats {
-            total_secs: t_init.elapsed().as_secs_f64(),
+            total_secs: init_secs,
             load_imbalance: 1.0,
             procs: (0..num_workers as u64)
                 .map(|p| ProcStats {
@@ -369,8 +366,7 @@ fn drive(
 
     // ---- Transformation (§5.2.1 + §6.3): broadcast the schedule, let
     // the workers run the all-to-all partial tid-list exchange.
-    let span_transform = eclat_obs::trace::span(crate::PHASE_TRANSFORM);
-    let t_transform = Instant::now();
+    let span = eclat_obs::trace::span(crate::PHASE_TRANSFORM);
     let plan = schedule_l2(&l2, num_workers, dist.cfg.heuristic);
     let slot_owner: Vec<u32> = plan.slot_owner.iter().map(|&p| p as u32).collect();
     let l2_pairs: Vec<(u32, u32)> = l2.iter().map(|&(a, b, _)| (a.0, b.0)).collect();
@@ -395,12 +391,10 @@ fn drive(
             }
         }
     }
-    let transform_secs = t_transform.elapsed().as_secs_f64();
-    drop(span_transform);
+    let transform_secs = span.finish();
 
     // ---- Asynchronous phase (§5.3) + final reduction.
-    let span_async = eclat_obs::trace::span(crate::PHASE_ASYNC);
-    let t_async = Instant::now();
+    let span = eclat_obs::trace::span(crate::PHASE_ASYNC);
     let mut worker_stats: Vec<WorkerStats> = Vec::with_capacity(num_workers);
     for c in conns.iter_mut() {
         match c.recv("Result")? {
@@ -430,13 +424,11 @@ fn drive(
             }
         }
     }
-    let async_secs = t_async.elapsed().as_secs_f64();
-    drop(span_async);
+    let async_secs = span.finish();
 
     // ---- Stats assembly: measured wall clock per phase, worker meters
     // summed so op counts match the sequential/simulated reports.
-    let _span_reduce = eclat_obs::trace::span(crate::PHASE_REDUCE);
-    let t_reduce = Instant::now();
+    let span = eclat_obs::trace::span(crate::PHASE_REDUCE);
     let mut init_ops = OpMeter::new();
     let mut transform_ops = OpMeter::new();
     let mut async_ops = OpMeter::new();
@@ -449,17 +441,9 @@ fn drive(
         }
     }
     stats.sort_classes();
-    stats.phases[0].ops = init_ops;
-    stats.phases.push(PhaseStats {
-        label: crate::PHASE_TRANSFORM.to_string(),
-        secs: transform_secs,
-        ops: transform_ops,
-    });
-    stats.phases.push(PhaseStats {
-        label: crate::PHASE_ASYNC.to_string(),
-        secs: async_secs,
-        ops: async_ops,
-    });
+    stats.push_phase(crate::PHASE_INIT, init_secs, init_ops);
+    stats.push_phase(crate::PHASE_TRANSFORM, transform_secs, transform_ops);
+    stats.push_phase(crate::PHASE_ASYNC, async_secs, async_ops);
 
     // One ProcStats row per worker *thread* — the measured counterpart
     // of the simulator's H×P processor rows. Thread 0 is the session
@@ -511,16 +495,7 @@ fn drive(
     });
 
     stats.num_frequent = out.len() as u64;
-    let mut total = OpMeter::new();
-    total.merge(&init_ops);
-    total.merge(&transform_ops);
-    total.merge(&async_ops);
-    stats.total_ops = total;
-    stats.phases.push(PhaseStats {
-        label: crate::PHASE_REDUCE.to_string(),
-        secs: t_reduce.elapsed().as_secs_f64(),
-        ops: OpMeter::new(),
-    });
+    stats.push_phase(crate::PHASE_REDUCE, span.finish(), OpMeter::new());
     let spill_written = worker_stats.iter().map(|w| w.spill_bytes_written).sum();
     let spill_read = worker_stats.iter().map(|w| w.spill_bytes_read).sum();
     Ok((out, num_l2, spill_written, spill_read))

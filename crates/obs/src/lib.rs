@@ -3,10 +3,13 @@
 //! Three small, zero-third-party-dependency facilities, shared by the
 //! mining core, the distributed runtime, the serving layer, and the CLI:
 //!
-//! * [`trace`] — a low-overhead span/event tracer. Every participating
-//!   thread records into its own ring buffer; recording is guarded by a
-//!   single process-global atomic flag, so with tracing disabled an
-//!   instrumentation point costs one relaxed load and a branch (the
+//! * [`trace`] — a low-overhead span/event tracer, and the clock of every
+//!   measured phase: a span reads the monotonic clock when it opens and
+//!   [`SpanGuard::finish`] returns its seconds, which is where the stats
+//!   reports get their phase timings. Every participating thread records
+//!   into its own ring buffer; recording is guarded by a single
+//!   process-global atomic flag, so with tracing disabled a span costs a
+//!   clock read, one relaxed load and a branch (the
 //!   `disabled_fast_path_is_cheap` test and the `ablations` bench row pin
 //!   this). Buffers drain to a line-oriented JSONL format that merges
 //!   across processes (worker rank + run id tags) and converts to Chrome

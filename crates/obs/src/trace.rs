@@ -3,9 +3,15 @@
 //! # Recording model
 //!
 //! * [`enabled`] is a process-global `AtomicBool`. Every instrumentation
-//!   point ([`span`], [`instant`]) loads it once (relaxed) and returns
-//!   immediately when tracing is off — the disabled fast path is a load
-//!   plus a branch, with no allocation, no lock, and no clock read.
+//!   point ([`span`], [`instant`]) loads it once (relaxed) and records
+//!   nothing when tracing is off: no allocation and no lock.
+//! * A span is also the clock of the phase it covers. Opening one reads
+//!   the monotonic clock once, tracing on or off, and
+//!   [`SpanGuard::finish`] reads it again to close the span and return
+//!   its seconds. With tracing on, the begin and end events carry those
+//!   same two readings, so a stats report built from `finish` and the
+//!   trace's span durations agree to the trace's 1 µs resolution. An
+//!   [`instant`] with tracing off reads no clock.
 //! * When enabled, an event is pushed into the calling thread's own ring
 //!   buffer (a `thread_local` registered in a process-global list so it
 //!   can be drained after the thread exits). A full ring drops its
@@ -109,10 +115,6 @@ fn epoch() -> &'static (Instant, u64) {
     })
 }
 
-fn now_us() -> u64 {
-    epoch().0.elapsed().as_micros() as u64
-}
-
 /// Event phase, mirroring the Chrome `ph` field.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Phase {
@@ -161,8 +163,9 @@ thread_local! {
         const { std::cell::RefCell::new(None) };
 }
 
-fn record(ph: Phase, name: &'static str, arg: u64) {
-    let t_us = now_us();
+/// Push one event stamped with the clock reading `at`.
+fn record(ph: Phase, name: &'static str, arg: u64, at: Instant) {
+    let t_us = at.saturating_duration_since(epoch().0).as_micros() as u64;
     LOCAL.with(|slot| {
         let mut slot = slot.borrow_mut();
         let ring = slot.get_or_insert_with(|| {
@@ -194,40 +197,52 @@ fn record(ph: Phase, name: &'static str, arg: u64) {
     });
 }
 
-/// RAII span guard: records `B` on creation (when tracing is enabled)
-/// and the matching `E` on drop.
-#[must_use = "a span ends when the guard drops"]
+/// RAII span guard: the clock reading taken when the span opened, and,
+/// when tracing was on then, the promise of a matching `E` event.
+#[must_use = "a span ends when the guard drops or finishes"]
 pub struct SpanGuard {
     name: &'static str,
+    start: Instant,
     armed: bool,
+}
+
+impl SpanGuard {
+    /// End the span now and return its length in seconds. The end event
+    /// (when tracing was on at open) carries the same clock reading, so
+    /// the returned seconds are the span's duration in the trace.
+    pub fn finish(mut self) -> f64 {
+        let end = Instant::now();
+        if std::mem::take(&mut self.armed) {
+            record(Phase::End, self.name, 0, end);
+        }
+        end.duration_since(self.start).as_secs_f64()
+    }
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         if self.armed {
-            record(Phase::End, self.name, 0);
+            record(Phase::End, self.name, 0, Instant::now());
         }
     }
 }
 
-/// Open a span. Disabled cost: one atomic load and a branch.
+/// Open a span. Cost with tracing off: one clock read, one atomic load
+/// and a branch.
 #[inline]
 pub fn span(name: &'static str) -> SpanGuard {
-    if !enabled() {
-        return SpanGuard { name, armed: false };
-    }
-    record(Phase::Begin, name, 0);
-    SpanGuard { name, armed: true }
+    span_arg(name, 0)
 }
 
 /// Open a span carrying a numeric payload on its begin event.
 #[inline]
 pub fn span_arg(name: &'static str, arg: u64) -> SpanGuard {
-    if !enabled() {
-        return SpanGuard { name, armed: false };
+    let start = Instant::now();
+    let armed = enabled();
+    if armed {
+        record(Phase::Begin, name, arg, start);
     }
-    record(Phase::Begin, name, arg);
-    SpanGuard { name, armed: true }
+    SpanGuard { name, start, armed }
 }
 
 /// Record a point event.
@@ -236,7 +251,7 @@ pub fn instant(name: &'static str, arg: u64) {
     if !enabled() {
         return;
     }
-    record(Phase::Instant, name, arg);
+    record(Phase::Instant, name, arg, Instant::now());
 }
 
 /// Everything drained from the rings (events sorted by time).
@@ -318,14 +333,6 @@ pub fn render_jsonl() -> String {
         out.push('\n');
     }
     out
-}
-
-/// Drain to `path`, truncating any previous contents.
-///
-/// # Errors
-/// Propagates filesystem errors.
-pub fn write_file(path: &Path) -> std::io::Result<()> {
-    std::fs::write(path, render_jsonl())
 }
 
 /// Drain and append to `path` (one `write` call, so concurrent readers
@@ -754,6 +761,10 @@ mod tests {
             let _s = span("quiet");
             instant("quiet-point", 1);
         }
+        assert!(
+            span("timed").finish() >= 0.0,
+            "finish times without tracing"
+        );
         assert!(drain().events.is_empty());
     }
 
@@ -907,8 +918,9 @@ mod tests {
         let _guard = locked();
         reset();
         // 1M disabled instrumentation points must run in well under a
-        // second even unoptimized — the disabled path is one relaxed
-        // load and a branch. Generous bound to stay CI-noise-proof.
+        // second even unoptimized — a disabled span is one clock read,
+        // one relaxed load and a branch, a disabled instant the last two.
+        // Generous bound to stay CI-noise-proof.
         let t0 = Instant::now();
         for i in 0..1_000_000u64 {
             let _s = span("off");

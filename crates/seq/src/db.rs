@@ -91,13 +91,6 @@ impl SeqDb {
             .sum()
     }
 
-    /// Alphabet bound, `max item + 1` over the input (`0` when empty).
-    /// It is reported, never allocated by: an id near `u32::MAX` makes it
-    /// about `2^32` while [`SeqDb::items`] still holds one entry.
-    pub fn num_items(&self) -> u64 {
-        self.items.last().map_or(0, |i| u64::from(i.0) + 1)
-    }
-
     /// Every item that occurs in some event, ascending and distinct — what
     /// per-item state is sized by.
     pub fn items(&self) -> &[ItemId] {
@@ -132,7 +125,7 @@ mod tests {
         assert_eq!(db.num_sequences(), 2);
         assert_eq!(db.num_events(), 3);
         assert_eq!(db.num_item_occurrences(), 4);
-        assert_eq!(db.num_items(), 4);
+        assert_eq!(db.items().len(), 3);
         assert_eq!(
             db.sequences()[0],
             vec![(1, vec![ItemId(1), ItemId(2)]), (2, vec![ItemId(3)]),]
@@ -156,15 +149,14 @@ mod tests {
                 (5, vec![ItemId(3), ItemId(9)]),
             ]
         );
-        assert_eq!(db.num_items(), 10);
+        assert_eq!(db.items().len(), 4);
     }
 
     #[test]
     fn item_ids_never_size_anything() {
         let db = SeqDb::from_events(vec![vec![(1, vec![u32::MAX, 0])], vec![(1, vec![1 << 31])]]);
         assert_eq!(db.items(), &[ItemId(0), ItemId(1 << 31), ItemId(u32::MAX)]);
-        assert_eq!(db.num_items(), 1 << 32, "the bound does not wrap");
-        assert_eq!(SeqDb::of(&[]).num_items(), 0);
+        assert!(SeqDb::of(&[]).items().is_empty());
     }
 
     #[test]

@@ -22,9 +22,8 @@ use crate::kernel::{class_weight, recurse, AtomKind, FrequentSequences, SeqConfi
 use crate::pairset::PairSet;
 use crate::pattern::SeqPattern;
 use eclat::pipeline::{ExecutionPolicy, PHASE_ASYNC, PHASE_INIT, PHASE_TRANSFORM};
-use mining_types::stats::{ClassStats, KernelStats, MiningStats, PhaseStats};
+use mining_types::stats::{ClassStats, KernelStats, MiningStats};
 use mining_types::{ItemId, MinSupport, OpMeter};
-use std::time::Instant;
 use tidlist::TidSet;
 
 /// What the initialization scans found: the frequent items (ascending)
@@ -284,48 +283,34 @@ pub fn mine_stats(
     stats.transactions = db.num_sequences() as u64;
     stats.threshold = u64::from(threshold);
     let mut out = FrequentSequences::new();
-    let start_ops = *meter;
 
     // --- Phase 1 (initialization): frequent-1/2 counting.
-    let span_init = eclat_obs::trace::span(PHASE_INIT);
-    let t_init = Instant::now();
+    let span = eclat_obs::trace::span(PHASE_INIT);
+    let before = *meter;
     let items = count_items(db, threshold, meter);
-    stats.record_level(1, db.num_items(), items.len() as u64);
+    stats.record_level(1, db.items().len() as u64, items.len() as u64);
     let init = count_l2(db, &items, threshold, meter);
     stats.record_level(2, init.l2_candidates, init.l2_frequent);
     for &(item, support) in &init.items {
         out.insert(SeqPattern::single(item), support);
         meter.record += 1;
     }
-    stats.phases.push(PhaseStats {
-        label: PHASE_INIT.to_string(),
-        secs: t_init.elapsed().as_secs_f64(),
-        ops: meter.since(&start_ops),
-    });
-    drop(span_init);
+    stats.push_phase(PHASE_INIT, span.finish(), meter.since(&before));
     let under_maxlen = cfg.maxlen.is_none_or(|k| k >= 2);
     if init.classes.is_empty() || !under_maxlen {
         stats.num_frequent = out.len() as u64;
-        stats.total_ops = meter.since(&start_ops);
         return (out, stats);
     }
 
     // --- Phase 2 (transformation): vertical occurrence lists.
-    let span_transform = eclat_obs::trace::span(PHASE_TRANSFORM);
-    let t_transform = Instant::now();
-    let ops_before_transform = *meter;
+    let span = eclat_obs::trace::span(PHASE_TRANSFORM);
+    let before = *meter;
     let lists = build_item_lists(db, &init.items, meter);
-    stats.phases.push(PhaseStats {
-        label: PHASE_TRANSFORM.to_string(),
-        secs: t_transform.elapsed().as_secs_f64(),
-        ops: meter.since(&ops_before_transform),
-    });
-    drop(span_transform);
+    stats.push_phase(PHASE_TRANSFORM, span.finish(), meter.since(&before));
 
     // --- Phase 3 (asynchronous): one independent task per class.
-    let span_async = eclat_obs::trace::span(PHASE_ASYNC);
-    let t_async = Instant::now();
-    let ops_before_async = *meter;
+    let span = eclat_obs::trace::span(PHASE_ASYNC);
+    let before = *meter;
     let weights: Vec<u64> = init
         .classes
         .iter()
@@ -346,18 +331,12 @@ pub fn mine_stats(
         meter.merge(&m);
         class_stats.push(cs);
     }
-    stats.phases.push(PhaseStats {
-        label: PHASE_ASYNC.to_string(),
-        secs: t_async.elapsed().as_secs_f64(),
-        ops: meter.since(&ops_before_async),
-    });
-    drop(span_async);
+    stats.push_phase(PHASE_ASYNC, span.finish(), meter.since(&before));
     for cs in class_stats {
         stats.add_class(cs);
     }
     stats.sort_classes();
     stats.num_frequent = out.len() as u64;
-    stats.total_ops = meter.since(&start_ops);
     (out, stats)
 }
 

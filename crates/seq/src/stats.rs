@@ -24,7 +24,7 @@ pub struct SeqStats {
     pub events: u64,
     /// Item occurrences over all events.
     pub item_occurrences: u64,
-    /// Alphabet bound (`max item + 1`).
+    /// Distinct items that occur in the input.
     pub distinct_items: u64,
     /// `--maxlen` cap; `0` = unbounded.
     pub maxlen: u64,
@@ -58,7 +58,7 @@ impl SeqStats {
             sequences: db.num_sequences() as u64,
             events: db.num_events() as u64,
             item_occurrences: db.num_item_occurrences() as u64,
-            distinct_items: db.num_items(),
+            distinct_items: db.items().len() as u64,
             maxlen: u64::from(cfg.maxlen.unwrap_or(0)),
             frequent: result.len() as u64,
             by_len,
@@ -101,27 +101,40 @@ mod tests {
 
     #[test]
     fn artifact_reflects_the_run() {
-        let db = SeqDb::of(&[&[&[1, 2], &[3]], &[&[1], &[2, 3]], &[&[2], &[3]]]);
-        let cfg = SeqConfig::default();
-        let (fs, mining) = mine_stats(
-            &db,
-            MinSupport::from_percent(60.0),
-            &cfg,
-            &mut OpMeter::new(),
-            &Serial,
-            "sequential",
-        );
-        let stats = SeqStats::from_run(&db, &cfg, &fs, mining);
-        assert_eq!(stats.sequences, 3);
-        assert_eq!(stats.events, 6);
-        assert_eq!(stats.maxlen, 0, "unbounded");
-        assert_eq!(stats.frequent, fs.len() as u64);
-        let total: u64 = stats.by_len.iter().map(|&(_, n)| n).sum();
-        assert_eq!(total, stats.frequent);
-        let json = stats.to_json();
-        assert!(json.starts_with("{\"schema_version\":1,\"algorithm\":\"spade\","));
-        assert!(json.contains("\"by_len\":[{\"len\":1,"));
-        assert!(json.contains("\"mining\":{\"schema_version\":"));
-        assert!(json.contains("\"algorithm\":\"spade\",\"variant\":\"sequential\""));
+        // The second input has the shape of the 36-byte `.ecs` that
+        // `scripts/check.sh` mines: one sequence, one event, whose only
+        // item is `u32::MAX`. Its alphabet bound would be 2^32.
+        let inputs = [
+            (
+                SeqDb::of(&[&[&[1, 2], &[3]], &[&[1], &[2, 3]], &[&[2], &[3]]]),
+                (3, 6, 3),
+            ),
+            (SeqDb::of(&[&[&[u32::MAX]]]), (1, 1, 1)),
+        ];
+        for (db, want) in inputs {
+            let cfg = SeqConfig::default();
+            let (fs, mining) = mine_stats(
+                &db,
+                MinSupport::from_percent(60.0),
+                &cfg,
+                &mut OpMeter::new(),
+                &Serial,
+                "sequential",
+            );
+            let stats = SeqStats::from_run(&db, &cfg, &fs, mining);
+            let shape = (stats.sequences, stats.events, stats.distinct_items);
+            assert_eq!(shape, want, "sequences, events, distinct items");
+            let l1 = stats.mining.levels.iter().find(|l| l.size == 1).unwrap();
+            assert_eq!(l1.candidates, want.2, "level-1 candidates");
+            assert_eq!(stats.maxlen, 0, "unbounded");
+            assert_eq!(stats.frequent, fs.len() as u64);
+            let total: u64 = stats.by_len.iter().map(|&(_, n)| n).sum();
+            assert_eq!(total, stats.frequent);
+            let json = stats.to_json();
+            assert!(json.starts_with("{\"schema_version\":1,\"algorithm\":\"spade\","));
+            assert!(json.contains("\"by_len\":[{\"len\":1,"));
+            assert!(json.contains("\"mining\":{\"schema_version\":"));
+            assert!(json.contains("\"algorithm\":\"spade\",\"variant\":\"sequential\""));
+        }
     }
 }

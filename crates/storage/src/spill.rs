@@ -21,7 +21,6 @@ use std::collections::VecDeque;
 use std::fs::{self, File};
 use std::io::{self, BufReader, BufWriter};
 use std::path::{Path, PathBuf};
-use std::time::Instant;
 use tidlist::TidList;
 
 /// Byte and timing counters for a store's lifetime. Bytes are exact
@@ -33,9 +32,11 @@ pub struct SpillMetrics {
     pub bytes_written: u64,
     /// Bytes read back by faults.
     pub bytes_read: u64,
-    /// Wall-clock seconds spent writing evicted classes.
+    /// Wall-clock seconds spent writing evicted classes (the
+    /// `spill:write` spans).
     pub write_secs: f64,
-    /// Wall-clock seconds spent faulting classes back in.
+    /// Wall-clock seconds spent faulting classes back in (the
+    /// `spill:fault` spans).
     pub read_secs: f64,
     /// Number of classes evicted to disk.
     pub classes_spilled: u64,
@@ -146,14 +147,13 @@ impl SpillStore {
                 _ => unreachable!("eviction queue only holds residents"),
             };
             self.resident_bytes -= Self::list_bytes(&lists);
-            let _span = eclat_obs::trace::span_arg("spill:write", victim as u64);
-            let t = Instant::now();
+            let span = eclat_obs::trace::span_arg("spill:write", victim as u64);
             let mut w = BufWriter::new(File::create(self.class_path(victim))?);
             let written = binfmt::write_vertical(&VerticalDb::from_lists(lists), &mut w)?;
-            self.metrics.write_secs += t.elapsed().as_secs_f64();
+            eclat_obs::trace::instant("spill:written_bytes", written);
+            self.metrics.write_secs += span.finish();
             self.metrics.bytes_written += written;
             self.metrics.classes_spilled += 1;
-            eclat_obs::trace::instant("spill:written_bytes", written);
         }
         Ok(())
     }
@@ -174,16 +174,15 @@ impl SpillStore {
                 Ok(lists)
             }
             Slot::Spilled => {
-                let _span = eclat_obs::trace::span_arg("spill:fault", id as u64);
-                let t = Instant::now();
+                let span = eclat_obs::trace::span_arg("spill:fault", id as u64);
                 let path = self.class_path(id);
                 let mut r = BufReader::new(File::open(&path)?);
                 let (db, read) = binfmt::read_vertical(&mut r)?;
                 fs::remove_file(&path)?;
-                self.metrics.read_secs += t.elapsed().as_secs_f64();
+                eclat_obs::trace::instant("spill:faulted_bytes", read);
+                self.metrics.read_secs += span.finish();
                 self.metrics.bytes_read += read;
                 self.metrics.faults += 1;
-                eclat_obs::trace::instant("spill:faulted_bytes", read);
                 Ok(db.into_lists())
             }
             Slot::Empty => panic!("class {id} taken twice (or never inserted)"),

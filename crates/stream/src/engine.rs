@@ -12,7 +12,6 @@ use mining_types::{
     Counted, FrequentSet, ItemId, Itemset, MinSupport, OpMeter, Tid, TriangleMatrix,
 };
 use std::collections::BTreeMap;
-use std::time::Instant;
 use tidlist::TidList;
 
 /// Everything mined so far — the state a query server boots from.
@@ -232,9 +231,8 @@ impl StreamEngine {
         let mut stats = BatchStats::new(batch_index, batch.len() as u64);
 
         // -- ingest: append to the vertical database, delta-count ------
-        let t0 = Instant::now();
+        let span = eclat_obs::trace::span_arg("stream:ingest", batch_index);
         let delta = {
-            let _span = eclat_obs::trace::span_arg("stream:ingest", batch_index);
             let widest = batch
                 .iter()
                 .flat_map(|t| t.iter().map(|i| i.0 as usize + 1))
@@ -258,15 +256,12 @@ impl StreamEngine {
             }
             delta
         };
-        stats.ingest_secs = t0.elapsed().as_secs_f64();
+        stats.ingest_secs = span.finish();
 
         // -- delta: merge counts, find the frequent pairs + dirty set --
-        let t0 = Instant::now();
-        let threshold = {
-            let _span = eclat_obs::trace::span_arg("stream:delta", batch_index);
-            self.tri.merge_from(&delta);
-            self.minsup.count_threshold(self.next_tid as usize)
-        };
+        let span = eclat_obs::trace::span_arg("stream:delta", batch_index);
+        self.tri.merge_from(&delta);
+        let threshold = self.minsup.count_threshold(self.next_tid as usize);
         debug_assert!(
             threshold >= self.state.threshold,
             "the count threshold is monotone in |D|"
@@ -294,13 +289,12 @@ impl StreamEngine {
             }
         }
         stats.changed_pairs = count_changed_pairs(&delta);
-        stats.delta_secs = t0.elapsed().as_secs_f64();
+        stats.delta_secs = span.finish();
 
         // -- remine: rebuild + mine only the dirty classes -------------
-        let t0 = Instant::now();
+        let span = eclat_obs::trace::span_arg("stream:remine", batch_index);
         let mut remined_by_prefix: BTreeMap<u32, Vec<Counted>> = BTreeMap::new();
         {
-            let _span = eclat_obs::trace::span_arg("stream:remine", batch_index);
             let mut dirty_pairs: Vec<(ItemId, ItemId, TidList)> = Vec::new();
             for (&a, members) in &grouped {
                 if !members.iter().any(|m| m.2) {
@@ -333,83 +327,79 @@ impl StreamEngine {
                 remined_by_prefix.entry(first).or_default().push(c);
             }
         }
-        stats.remine_secs = t0.elapsed().as_secs_f64();
+        stats.remine_secs = span.finish();
 
         // -- merge: carry clean classes, swap dirty ones, regen rules --
-        let t0 = Instant::now();
-        {
-            let _span = eclat_obs::trace::span_arg("stream:merge", batch_index);
-            stats.classes_dropped = self
-                .classes
-                .keys()
-                .filter(|k| !grouped.contains_key(k))
-                .count() as u64;
-            let mut next: BTreeMap<u32, ClassState> = BTreeMap::new();
-            for (&a, members) in &grouped {
-                let fingerprint: Vec<(ItemId, u32)> =
-                    members.iter().map(|&(b, s, _)| (b, s)).collect();
-                let dirty = members.iter().any(|m| m.2);
-                if dirty {
-                    if !self.classes.contains_key(&a) {
-                        stats.classes_born += 1;
-                    }
-                    let results = remined_by_prefix.remove(&a).unwrap_or_default();
-                    let state = ClassState {
+        let span = eclat_obs::trace::span_arg("stream:merge", batch_index);
+        stats.classes_dropped = self
+            .classes
+            .keys()
+            .filter(|k| !grouped.contains_key(k))
+            .count() as u64;
+        let mut next: BTreeMap<u32, ClassState> = BTreeMap::new();
+        for (&a, members) in &grouped {
+            let fingerprint: Vec<(ItemId, u32)> = members.iter().map(|&(b, s, _)| (b, s)).collect();
+            let dirty = members.iter().any(|m| m.2);
+            if dirty {
+                if !self.classes.contains_key(&a) {
+                    stats.classes_born += 1;
+                }
+                let results = remined_by_prefix.remove(&a).unwrap_or_default();
+                let state = ClassState {
+                    members: fingerprint,
+                    results,
+                };
+                next.insert(a, state);
+            } else {
+                // Clean: every member is unchanged and was frequent
+                // before (threshold never falls), so the class must
+                // pre-exist and its previous results filtered to the
+                // new threshold are exactly the re-mine.
+                let old = self
+                    .classes
+                    .remove(&a)
+                    .expect("clean class must already exist");
+                debug_assert!(
+                    fingerprint.iter().all(|m| old.members.contains(m)),
+                    "clean members must be unchanged since the last mine"
+                );
+                stats.classes_carried += 1;
+                let results: Vec<Counted> = old
+                    .results
+                    .into_iter()
+                    .filter(|c| c.support >= threshold)
+                    .collect();
+                next.insert(
+                    a,
+                    ClassState {
                         members: fingerprint,
                         results,
-                    };
-                    next.insert(a, state);
-                } else {
-                    // Clean: every member is unchanged and was frequent
-                    // before (threshold never falls), so the class must
-                    // pre-exist and its previous results filtered to the
-                    // new threshold are exactly the re-mine.
-                    let old = self
-                        .classes
-                        .remove(&a)
-                        .expect("clean class must already exist");
-                    debug_assert!(
-                        fingerprint.iter().all(|m| old.members.contains(m)),
-                        "clean members must be unchanged since the last mine"
-                    );
-                    stats.classes_carried += 1;
-                    let results: Vec<Counted> = old
-                        .results
-                        .into_iter()
-                        .filter(|c| c.support >= threshold)
-                        .collect();
-                    next.insert(
-                        a,
-                        ClassState {
-                            members: fingerprint,
-                            results,
-                        },
-                    );
-                }
+                    },
+                );
             }
-            self.classes = next;
-
-            let mut frequent = FrequentSet::new();
-            for (i, &c) in self.item_counts.iter().enumerate() {
-                if c >= threshold {
-                    frequent.insert(Itemset::single(ItemId(i as u32)), c);
-                }
-            }
-            for class in self.classes.values() {
-                for c in &class.results {
-                    frequent.insert(c.itemset.clone(), c.support);
-                }
-            }
-            let rules = assoc_rules::generate(&frequent, self.confidence);
-            self.state = MinedState {
-                num_transactions: self.next_tid,
-                threshold,
-                frequent,
-                rules,
-                generation: self.state.generation + 1,
-            };
         }
-        stats.merge_secs = t0.elapsed().as_secs_f64();
+        self.classes = next;
+
+        let mut frequent = FrequentSet::new();
+        for (i, &c) in self.item_counts.iter().enumerate() {
+            if c >= threshold {
+                frequent.insert(Itemset::single(ItemId(i as u32)), c);
+            }
+        }
+        for class in self.classes.values() {
+            for c in &class.results {
+                frequent.insert(c.itemset.clone(), c.support);
+            }
+        }
+        let rules = assoc_rules::generate(&frequent, self.confidence);
+        self.state = MinedState {
+            num_transactions: self.next_tid,
+            threshold,
+            frequent,
+            rules,
+            generation: self.state.generation + 1,
+        };
+        stats.merge_secs = span.finish();
 
         stats.total_transactions = self.next_tid as u64;
         stats.threshold = u64::from(threshold);

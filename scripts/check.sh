@@ -3,6 +3,11 @@
 # Run from the workspace root: ./scripts/check.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
+# Every file a check writes goes under $tmpdir, so a passing run leaves
+# the tree as it found it (the committed results/*.json are regenerated
+# by scripts/bench_json.sh and the full-scale bench runs, not here).
+tmpdir="$(mktemp -d)"
+trap 'rm -rf "$tmpdir"' EXIT
 
 echo "==> cargo build --release"
 cargo build --workspace --release
@@ -18,18 +23,16 @@ cargo test -q -p assoc-serve
 
 echo "==> servload --smoke (one-shot TCP load generator)"
 cargo run -q --release -p repro-bench --bin servload -- --smoke \
-    --json=results/servload_smoke.json
+    --json="$tmpdir/servload_smoke.json"
 
 echo "==> cargo test -p eclat-net (distributed runtime: oracle + robustness)"
 cargo test -q -p eclat-net
 
 echo "==> distbench --smoke (real loopback workers, checked against sequential)"
 cargo run -q --release -p repro-bench --bin distbench -- --smoke \
-    --json=results/distbench_smoke.json
+    --json="$tmpdir/distbench_smoke.json"
 
 echo "==> dmine --spawn-local 4 == mine (measured cluster vs sequential CLI)"
-tmpdir="$(mktemp -d)"
-trap 'rm -rf "$tmpdir"' EXIT
 cargo run -q --release -p eclat-cli -- generate --out "$tmpdir/t10.ech" \
     --transactions 20000 --seed 7 > /dev/null
 cargo run -q --release -p eclat-cli -- mine --input "$tmpdir/t10.ech" \
@@ -156,7 +159,7 @@ grep -q "\[verified\]" "$tmpdir/huge_item.out"
 
 echo "==> streambench --smoke (incremental vs full re-mine, equality-asserted)"
 cargo run -q --release -p repro-bench --bin streambench -- --smoke \
-    --json=results/streambench_smoke.json
+    --json="$tmpdir/streambench_smoke.json"
 
 echo "==> cargo test -p eclat-seq (SPADE kernel: unit + golden + proptest oracle)"
 cargo test -q -p eclat-seq
@@ -182,7 +185,7 @@ diff <(tail -n +2 "$tmpdir/seq.out") <(tail -n +2 "$tmpdir/seq_threads_all.out")
 
 echo "==> seqbench --smoke (SPADE policies + maxlen ablation, equality-asserted)"
 cargo run -q --release -p repro-bench --bin seqbench -- --smoke \
-    --json=results/seqbench.json
+    --json="$tmpdir/seqbench_smoke.json"
 
 echo "==> cargo fmt --check"
 cargo fmt --check
