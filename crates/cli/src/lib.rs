@@ -375,16 +375,7 @@ fn write_snapshot(
     let snap = binfmt::ResultsSnapshot {
         num_transactions: db.num_transactions() as u32,
         frequent,
-        rules: rules
-            .into_iter()
-            .map(|r| binfmt::RuleRecord {
-                antecedent: r.antecedent,
-                consequent: r.consequent,
-                support: r.support,
-                antecedent_support: r.antecedent_support,
-                consequent_support: r.consequent_support,
-            })
-            .collect(),
+        rules,
         generation: 1,
     };
     let f = File::create(path).map_err(|e| format!("create {path}: {e}"))?;
@@ -820,17 +811,7 @@ fn read_snapshot_dataset(path: &str) -> Result<(assoc_serve::Dataset, (u64, u64)
         binfmt::read_results(&mut BufReader::new(f)).map_err(|e| format!("read {path}: {e}"))?;
     let dataset = assoc_serve::Dataset {
         frequent: snap.frequent,
-        rules: snap
-            .rules
-            .into_iter()
-            .map(|r| assoc_rules::Rule {
-                antecedent: r.antecedent,
-                consequent: r.consequent,
-                support: r.support,
-                antecedent_support: r.antecedent_support,
-                consequent_support: r.consequent_support,
-            })
-            .collect(),
+        rules: snap.rules,
         num_transactions: snap.num_transactions,
     };
     Ok((dataset, key))
@@ -2097,16 +2078,7 @@ mod tests {
             binfmt::ResultsSnapshot {
                 num_transactions: 100,
                 frequent,
-                rules: rules
-                    .into_iter()
-                    .map(|r| binfmt::RuleRecord {
-                        antecedent: r.antecedent,
-                        consequent: r.consequent,
-                        support: r.support,
-                        antecedent_support: r.antecedent_support,
-                        consequent_support: r.consequent_support,
-                    })
-                    .collect(),
+                rules,
                 generation,
             }
         };

@@ -1,30 +1,39 @@
 //! The paper's distributed Eclat on the simulated Memory Channel cluster
-//! (Figure 2), phase for phase:
+//! (Figure 2), phase for phase. The database is split into one block per
+//! *partition owner*: a processor here (§3), a host in the §8.1 hybrid of
+//! [`crate::hybrid`]. An owner's block is split evenly over its
+//! processors, and its first processor is its *leader*.
 //!
-//! 1. **Initialization** — each processor scans its local block once,
-//!    counts all 2-itemsets into a local upper-triangular array, and a
-//!    §6.2 sum-reduction over the shared region produces global `L2`.
+//! 1. **Initialization** — each processor scans its share of the block
+//!    once and counts all 2-itemsets into a local upper-triangular array;
+//!    each leader merges its owner's arrays in shared memory, and a §6.2
+//!    sum-reduction of the leaders' arrays over the shared region
+//!    produces global `L2`.
 //! 2. **Transformation** — `L2` is partitioned into equivalence classes,
-//!    scheduled greedily onto processors (§5.2.1); each processor scans
-//!    its block a second time building *partial* tid-lists, broadcasts
-//!    its partial counts (the offset-placement information of §6.3), and
-//!    the lock-step 2 MB-buffer exchange routes every partial list to its
-//!    class's owner; owners concatenate partials in processor order —
-//!    lists arrive globally sorted for free — and write them to disk.
-//! 3. **Asynchronous phase** — each processor reads its own vertical
-//!    partition back (the third and final scan) and mines its classes
-//!    independently with the recursive kernel: no communication, no
-//!    synchronization.
+//!    scheduled greedily onto owners (§5.2.1); each processor scans its
+//!    share a second time building *partial* tid-lists, every processor
+//!    broadcasts its partial counts (the offset-placement information of
+//!    §6.3), and the lock-step 2 MB-buffer exchange between leaders
+//!    routes every owner's partial lists to their class's owner; owners
+//!    concatenate partials in processor order — lists arrive globally
+//!    sorted for free — and their leaders write them to disk.
+//! 3. **Asynchronous phase** — an owner's classes are split over its
+//!    processors, and each processor reads its classes back (the third
+//!    and final scan) and mines them independently with the recursive
+//!    kernel: no communication, no synchronization.
 //! 4. **Final reduction** — local result sets are aggregated.
 //!
-//! The real mining computation executes once per simulated processor;
-//! the recorded traces replay against the cost model to produce the
-//! virtual [`Timeline`] reported in Table 2 / Figure 7.
+//! With one processor per owner every processor is its own leader: the
+//! leader's merge copies nothing, and each processor mines all of its
+//! owner's classes. The real mining computation executes once per
+//! simulated processor; the recorded traces replay against the cost
+//! model to produce the virtual [`Timeline`] reported in Table 2 /
+//! Figure 7.
 
 use crate::compute::EclatConfig;
 use crate::equivalence::classes_of_l2;
 use crate::pipeline::{self, ExecutionPolicy, Serial};
-use crate::schedule::{schedule_l2, Assignment};
+use crate::schedule::{schedule_l2, shard_classes, Assignment};
 use crate::transform::{build_pair_tidlists, count_items, count_pairs, index_pairs};
 use dbstore::{BlockPartition, HorizontalDb};
 use memchannel::collective::{broadcast_all, lockstep_exchange, sum_reduce, BarrierSeq};
@@ -42,7 +51,8 @@ pub struct ClusterReport {
     pub frequent: FrequentSet,
     /// The replayed virtual timeline.
     pub timeline: Timeline,
-    /// The class→processor assignment used.
+    /// The class→owner assignment used (owners are processors in the
+    /// flat cluster, hosts in the hybrid).
     pub assignment: Assignment,
     /// Write/read rounds of the lock-step exchange.
     pub exchange_rounds: usize,
@@ -67,11 +77,11 @@ impl ClusterReport {
 }
 
 /// Bytes of a serialized frequent-itemset result (`k` items + support).
-pub(crate) fn result_bytes(fs: &FrequentSet) -> u64 {
+fn result_bytes(fs: &FrequentSet) -> u64 {
     fs.iter().map(|(is, _)| is.len() as u64 * 4 + 4).sum()
 }
 
-/// Run Eclat on the simulated cluster.
+/// Run Eclat on the simulated cluster, one database block per processor.
 pub fn mine_cluster(
     db: &HorizontalDb,
     minsup: MinSupport,
@@ -79,20 +89,46 @@ pub fn mine_cluster(
     cost: &CostModel,
     cfg: &EclatConfig,
 ) -> ClusterReport {
+    simulate(db, minsup, cluster, cost, cfg, 1, "cluster")
+}
+
+/// The four phases of this module's doc, with one partition
+/// owner per `procs_per_owner` consecutive processors; `variant` only
+/// labels the stats report.
+pub(crate) fn simulate(
+    db: &HorizontalDb,
+    minsup: MinSupport,
+    cluster: &ClusterConfig,
+    cost: &CostModel,
+    cfg: &EclatConfig,
+    procs_per_owner: usize,
+    variant: &str,
+) -> ClusterReport {
     let t = cluster.total();
+    let owners = t / procs_per_owner;
+    let leader = |owner: usize| owner * procs_per_owner;
     let n = db.num_transactions();
     let threshold = minsup.count_threshold(n);
-    let partition = BlockPartition::equal_blocks(n, t);
+    let partition = BlockPartition::equal_blocks(n, owners);
+    // Processor `p`'s share of its owner's block.
+    let shares: Vec<std::ops::Range<usize>> = (0..t)
+        .map(|p| {
+            let block = partition.block(p / procs_per_owner);
+            let share = BlockPartition::equal_blocks(block.len(), procs_per_owner)
+                .block(p % procs_per_owner);
+            block.start + share.start..block.start + share.end
+        })
+        .collect();
     let mut recorders: Vec<TraceRecorder> = (0..t)
         .map(|p| TraceRecorder::new(p, cost.clone()))
         .collect();
     let mut barriers = BarrierSeq::new();
     let mut out = FrequentSet::new();
-    let mut stats = MiningStats::new("eclat", "cluster", &cfg.representation.to_string());
+    let mut stats = MiningStats::new("eclat", variant, &cfg.representation.to_string());
     stats.transactions = n as u64;
     stats.threshold = u64::from(threshold);
     // Per-phase op totals, merged across the per-processor meters (the
-    // blocks partition the database, so the merged counts equal a
+    // shares partition the database, so the merged counts equal a
     // sequential run's).
     let mut init_ops = OpMeter::new();
     let mut transform_ops = OpMeter::new();
@@ -100,16 +136,15 @@ pub fn mine_cluster(
 
     // ---------------- Initialization phase ----------------
     let mut global_tri: Option<mining_types::TriangleMatrix> = None;
-    for (p, rec) in recorders.iter_mut().enumerate() {
+    for (rec, share) in recorders.iter_mut().zip(&shares) {
         rec.phase(PHASE_INIT);
-        let block = partition.block(p);
-        rec.disk_read(db.byte_size_range(block.clone()));
+        rec.disk_read(db.byte_size_range(share.clone()));
         let mut meter = OpMeter::new();
-        let tri = count_pairs(db, block.clone(), &mut meter);
+        let tri = count_pairs(db, share.clone(), &mut meter);
         if cfg.include_singletons {
-            // Piggybacked singleton counting: meter its per-block cost
+            // Piggybacked singleton counting: meter its per-share cost
             // here; the counts themselves are assembled once below.
-            let _ = count_items(db, block, &mut meter);
+            let _ = count_items(db, share.clone(), &mut meter);
         }
         rec.compute(&meter);
         init_ops.merge(&meter);
@@ -119,34 +154,34 @@ pub fn mine_cluster(
         }
     }
     let global_tri = global_tri.expect("at least one processor");
-    // §6.2 sum-reduction of the triangular arrays.
+    // Each leader merges its owner's other arrays in shared memory; the
+    // leaders' arrays then meet in the §6.2 sum-reduction.
     let tri_bytes = (global_tri.cells() as u64) * 4;
-    sum_reduce(
-        &mut recorders,
-        &vec![tri_bytes; t],
-        tri_bytes,
-        &mut barriers,
-    );
+    let mut contributed = vec![0; t];
+    for owner in 0..owners {
+        recorders[leader(owner)].local_copy(tri_bytes * (procs_per_owner as u64 - 1));
+        contributed[leader(owner)] = tri_bytes;
+    }
+    sum_reduce(&mut recorders, &contributed, tri_bytes, &mut barriers);
 
     let l2: Vec<(ItemId, ItemId, u32)> = global_tri.frequent_pairs(threshold).collect();
     let num_l2 = l2.len();
     stats.record_level(2, global_tri.cells() as u64, num_l2 as u64);
 
     if cfg.include_singletons {
-        // The per-block cost was already metered above; the assembled
+        // The per-share cost was already metered above; the assembled
         // global counts are not charged twice.
         let (counted, inserted) =
             pipeline::insert_frequent_singletons(db, threshold, &mut OpMeter::new(), &mut out);
         stats.record_level(1, counted, inserted);
     }
 
+    // Equivalence-class scheduling (concurrent on all processors in the
+    // paper — each works from the same global L2, so we compute it once).
+    let plan = schedule_l2(&l2, owners, cfg.heuristic);
     if l2.is_empty() {
         // Nothing to transform or mine; close out the trace.
         let bytes = result_bytes(&out);
-        let no_classes = Assignment {
-            owner: vec![],
-            load: vec![0; t],
-        };
         return reduce_and_report(
             cluster,
             cost,
@@ -156,111 +191,104 @@ pub fn mine_cluster(
             &[(PHASE_INIT, init_ops)],
             stats,
             out,
-            (no_classes, 0, 0),
+            (plan.assignment, 0, 0),
         );
     }
 
     // ---------------- Transformation phase ----------------
-    // Equivalence-class scheduling (concurrent on all processors in the
-    // paper — each works from the same global L2, so we compute it once).
-    let pairs_only: Vec<(ItemId, ItemId)> = l2.iter().map(|&(a, b, _)| (a, b)).collect();
-    let plan = schedule_l2(&l2, t, cfg.heuristic);
-    let assignment = plan.assignment;
-    let slot_owner = plan.slot_owner;
-
-    let idx = index_pairs(&pairs_only);
-    // Per-processor partial tid-lists, and the trace of the second scan.
-    let mut partials: Vec<Vec<TidList>> = Vec::with_capacity(t);
-    for (p, rec) in recorders.iter_mut().enumerate() {
+    let pairs: Vec<(ItemId, ItemId)> = l2.iter().map(|&(a, b, _)| (a, b)).collect();
+    let idx = index_pairs(&pairs);
+    // Per-owner partial tid-lists: its processors' lists concatenated in
+    // processor (= tid) order through shared memory.
+    let mut partials: Vec<Vec<TidList>> = vec![vec![TidList::new(); num_l2]; owners];
+    for (p, (rec, share)) in recorders.iter_mut().zip(&shares).enumerate() {
         rec.phase(PHASE_TRANSFORM);
-        let block = partition.block(p);
-        rec.disk_read(db.byte_size_range(block.clone()));
+        rec.disk_read(db.byte_size_range(share.clone()));
         let mut meter = OpMeter::new();
-        let lists = build_pair_tidlists(db, block, &idx, &mut meter);
+        let lists = build_pair_tidlists(db, share.clone(), &idx, &mut meter);
         rec.compute(&meter);
         transform_ops.merge(&meter);
         // Local tid-list transformation: write every partial list into
         // the memory-mapped region at its offset (§6.3).
-        let local_bytes: u64 = lists.iter().map(|l| l.byte_size()).sum();
-        rec.local_copy(local_bytes);
-        partials.push(lists);
+        rec.local_copy(lists.iter().map(|l| l.byte_size()).sum());
+        for (merged, list) in partials[p / procs_per_owner].iter_mut().zip(&lists) {
+            merged.append_partial(list);
+        }
     }
     // Broadcast of partial counts (offset-placement info, §6.2 end).
-    let count_bytes = (num_l2 as u64) * 4;
-    broadcast_all(&mut recorders, &vec![count_bytes; t], &mut barriers);
+    broadcast_all(&mut recorders, &vec![(num_l2 as u64) * 4; t], &mut barriers);
 
-    // Outgoing byte matrix for the lock-step exchange.
-    let outgoing: Vec<Vec<u64>> = (0..t)
-        .map(|p| {
-            (0..t)
-                .map(|q| {
-                    if p == q {
-                        0
-                    } else {
-                        (0..pairs_only.len())
-                            .filter(|&s| slot_owner[s] == q)
-                            .map(|s| partials[p][s].byte_size())
-                            .sum()
-                    }
-                })
-                .collect()
-        })
-        .collect();
+    // Leaders exchange their owners' partial lists, each to the leader
+    // of its class's owner (the collective ignores the diagonal).
+    let mut outgoing = vec![vec![0u64; t]; t];
+    for (owner, lists) in partials.iter().enumerate() {
+        for (list, &dst) in lists.iter().zip(&plan.slot_owner) {
+            outgoing[leader(owner)][leader(dst)] += list.byte_size();
+        }
+    }
     let exchange_rounds =
         lockstep_exchange(&mut recorders, &outgoing, cfg.buffer_bytes, &mut barriers);
 
-    // Concatenate partials in processor order → global tid-lists, owned
-    // per processor; write them to local disk.
-    let mut owned_lists: Vec<Vec<(usize, TidList)>> = vec![Vec::new(); t];
-    for (s, &owner) in slot_owner.iter().enumerate() {
+    // Concatenate partials in owner order → global tid-lists, which each
+    // owner's leader writes to its local disk.
+    let mut owned: Vec<Vec<(ItemId, ItemId, TidList)>> = vec![Vec::new(); owners];
+    for (s, &owner) in plan.slot_owner.iter().enumerate() {
         let mut global = TidList::new();
-        for part in partials.iter() {
+        for part in &partials {
             global.append_partial(&part[s]);
         }
         debug_assert!(global.support() >= threshold);
-        owned_lists[owner].push((s, global));
-    }
-    for (p, rec) in recorders.iter_mut().enumerate() {
-        let bytes: u64 = owned_lists[p].iter().map(|(_, l)| 4 + l.byte_size()).sum();
-        if bytes > 0 {
-            rec.disk_write(bytes);
-        }
+        owned[owner].push((pairs[s].0, pairs[s].1, global));
     }
     drop(partials);
+    for (owner, lists) in owned.iter().enumerate() {
+        let bytes: u64 = lists.iter().map(|(_, _, l)| 4 + l.byte_size()).sum();
+        if bytes > 0 {
+            recorders[leader(owner)].disk_write(bytes);
+        }
+    }
 
     // ---------------- Asynchronous phase ----------------
     let mut local_results: Vec<FrequentSet> = Vec::with_capacity(t);
-    for p in 0..t {
-        let rec = &mut recorders[p];
-        rec.phase(PHASE_ASYNC);
-        let bytes: u64 = owned_lists[p].iter().map(|(_, l)| 4 + l.byte_size()).sum();
-        if bytes > 0 {
-            rec.disk_read(bytes);
+    for (owner, lists) in owned.into_iter().enumerate() {
+        // The owner's classes (complete: scheduling is class-granular),
+        // split over its processors by the same cost model.
+        let classes = classes_of_l2(lists);
+        let shards = shard_classes(&classes, procs_per_owner, cfg.heuristic);
+        let mut classes: Vec<_> = classes.into_iter().map(Some).collect();
+        for (shard, rec) in shards.iter().zip(&mut recorders[leader(owner)..]) {
+            rec.phase(PHASE_ASYNC);
+            let mine: Vec<_> = shard
+                .iter()
+                .map(|&c| classes[c].take().expect("each class is mined exactly once"))
+                .collect();
+            // Read back the lists as written: a length word plus the tids.
+            let bytes: u64 = mine
+                .iter()
+                .flat_map(|c| &c.members)
+                .map(|m| 4 + m.tids.byte_size())
+                .sum();
+            if bytes > 0 {
+                rec.disk_read(bytes);
+            }
+            let mut meter = OpMeter::new();
+            let mut local = FrequentSet::new();
+            let mut class_stats = Vec::new();
+            Serial.mine_classes(
+                mine,
+                threshold,
+                cfg,
+                &mut meter,
+                &mut local,
+                &mut class_stats,
+            );
+            rec.compute(&meter);
+            async_ops.merge(&meter);
+            for cs in class_stats {
+                stats.add_class(cs);
+            }
+            local_results.push(local);
         }
-        let mut meter = OpMeter::new();
-        // owned slots grouped into complete classes (scheduling is
-        // class-granular, so a class's slots share one owner)
-        let slots = std::mem::take(&mut owned_lists[p]);
-        let pairs_with_lists: Vec<(ItemId, ItemId, TidList)> = slots
-            .into_iter()
-            .map(|(s, l)| (pairs_only[s].0, pairs_only[s].1, l))
-            .collect();
-        let mut local = FrequentSet::new();
-        let mut class_stats = Vec::new();
-        Serial.mine_classes(
-            classes_of_l2(pairs_with_lists),
-            threshold,
-            cfg,
-            &mut meter,
-            &mut local,
-            &mut class_stats,
-        );
-        rec.compute(&meter);
-        async_ops.merge(&meter);
-        for cs in class_stats {
-            stats.add_class(cs);
-        }
-        local_results.push(local);
     }
 
     // ---------------- Final reduction phase ----------------
@@ -282,7 +310,7 @@ pub fn mine_cluster(
         ],
         stats,
         out,
-        (assignment, exchange_rounds, num_l2),
+        (plan.assignment, exchange_rounds, num_l2),
     )
 }
 
@@ -295,7 +323,7 @@ pub fn mine_cluster(
 /// `schedule` is the report's class assignment, exchange rounds and
 /// `|L2|`.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn reduce_and_report(
+fn reduce_and_report(
     cluster: &ClusterConfig,
     cost: &CostModel,
     mut recorders: Vec<TraceRecorder>,

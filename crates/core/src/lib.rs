@@ -27,9 +27,10 @@
 //!   simulated DEC Memory Channel cluster of the [`memchannel`] crate,
 //!   producing both the mining result and a virtual
 //!   [`memchannel::Timeline`];
-//! * [`hybrid`] — the future-work extension of §8.1/§9: the database is
-//!   partitioned among *hosts* only and processors within a host share
-//!   the class queue, eliminating intra-host disk contention.
+//! * [`hybrid`] — the future-work extension of §8.1/§9: the same
+//!   simulation with the database partitioned among *hosts* only, whose
+//!   processors split the host's block and classes, eliminating
+//!   intra-host disk contention.
 //!
 //! Companion algorithms from the paper's reference \[18\]: [`clique`]
 //! (maximal-clique itemset clustering) and [`maximal`] (MaxEclat with

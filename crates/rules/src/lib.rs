@@ -10,9 +10,16 @@
 //! an item from antecedent to consequent can only lower confidence.
 
 use mining_types::{FrequentSet, FxHashSet, Itemset};
-use std::fmt;
 
-/// One association rule `antecedent ⇒ consequent` with its statistics.
+pub use mining_types::Rule;
+
+/// Generate all rules meeting `min_confidence` from a **downward-closed**
+/// frequent set (it must include every subset of every member, singletons
+/// included — e.g. Apriori output, or Eclat with
+/// `EclatConfig::with_singletons`).
+///
+/// Output is sorted by descending confidence, then descending support,
+/// then lexicographic antecedent — fully deterministic.
 ///
 /// ```
 /// use mining_types::{FrequentSet, Itemset};
@@ -25,84 +32,6 @@ use std::fmt;
 /// assert_eq!(rules.len(), 1); // {2} => {1} at confidence 0.8
 /// assert!((rules[0].confidence() - 0.8).abs() < 1e-12);
 /// ```
-#[derive(Clone, Debug, PartialEq)]
-pub struct Rule {
-    /// The antecedent `X − Y`.
-    pub antecedent: Itemset,
-    /// The consequent `Y`.
-    pub consequent: Itemset,
-    /// Absolute support count of `X = antecedent ∪ consequent`.
-    pub support: u32,
-    /// Absolute support count of the antecedent.
-    pub antecedent_support: u32,
-    /// Absolute support count of the consequent.
-    pub consequent_support: u32,
-}
-
-impl Rule {
-    /// Confidence `support(X) / support(X − Y)` — the conditional
-    /// probability of §1.1.
-    pub fn confidence(&self) -> f64 {
-        self.support as f64 / self.antecedent_support as f64
-    }
-
-    /// Lift relative to consequent base rate, given the database size.
-    pub fn lift(&self, num_transactions: usize) -> f64 {
-        assert!(num_transactions > 0);
-        self.confidence() / (self.consequent_support as f64 / num_transactions as f64)
-    }
-
-    /// Support as a fraction of the database.
-    pub fn support_fraction(&self, num_transactions: usize) -> f64 {
-        assert!(num_transactions > 0);
-        self.support as f64 / num_transactions as f64
-    }
-
-    /// Leverage: observed minus expected co-occurrence frequency,
-    /// `sup(X∪Y)/n − (sup(X)/n)·(sup(Y)/n)`. Zero when antecedent and
-    /// consequent are independent, positive when they co-occur more than
-    /// chance predicts.
-    pub fn leverage(&self, num_transactions: usize) -> f64 {
-        assert!(num_transactions > 0);
-        let n = num_transactions as f64;
-        self.support as f64 / n
-            - (self.antecedent_support as f64 / n) * (self.consequent_support as f64 / n)
-    }
-
-    /// Conviction: `(1 − sup(Y)/n) / (1 − confidence)` — how much more
-    /// often the antecedent appears *without* the consequent than it
-    /// would under independence. `1.0` at independence,
-    /// [`f64::INFINITY`] for exact (confidence 1) rules.
-    pub fn conviction(&self, num_transactions: usize) -> f64 {
-        assert!(num_transactions > 0);
-        let conf = self.confidence();
-        if conf >= 1.0 {
-            return f64::INFINITY;
-        }
-        (1.0 - self.consequent_support as f64 / num_transactions as f64) / (1.0 - conf)
-    }
-}
-
-impl fmt::Display for Rule {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} => {}  (support {}, confidence {:.3})",
-            self.antecedent,
-            self.consequent,
-            self.support,
-            self.confidence()
-        )
-    }
-}
-
-/// Generate all rules meeting `min_confidence` from a **downward-closed**
-/// frequent set (it must include every subset of every member, singletons
-/// included — e.g. Apriori output, or Eclat with
-/// `EclatConfig::with_singletons`).
-///
-/// Output is sorted by descending confidence, then descending support,
-/// then lexicographic antecedent — fully deterministic.
 ///
 /// # Panics
 /// Panics if a needed subset's support is missing (i.e. the input was

@@ -4,9 +4,15 @@
 //! Level-wise: every frequent `k`-sequence is extended by every frequent
 //! item (one new element, or joining the last element when the item is
 //! larger than the current last), and each candidate's support is
-//! counted by a full horizontal containment scan. Hopelessly slow, and
-//! deliberately so — it shares no code with the vertical kernel, so
-//! agreement is evidence, not tautology.
+//! counted by a horizontal containment scan. The scan visits only the
+//! sequences that contain the candidate's parent pattern, and that loses
+//! no support: removing the added item from an embedding of the
+//! i-extension (the item sits in the last element's event), or dropping
+//! the last element of an embedding of the s-extension, leaves an
+//! embedding of the parent, so every sequence that contains a candidate
+//! contains its parent too. Still slow, and deliberately so — it shares
+//! no code with the vertical kernel, so agreement is evidence, not
+//! tautology.
 
 use crate::db::SeqDb;
 use crate::kernel::FrequentSequences;
@@ -41,10 +47,20 @@ pub fn support_of(db: &SeqDb, pattern: &SeqPattern) -> u32 {
         .count() as u32
 }
 
+/// The sequences among `among` (indices into `db`) that contain
+/// `pattern`.
+fn containing(db: &SeqDb, among: &[usize], pattern: &SeqPattern) -> Vec<usize> {
+    among
+        .iter()
+        .copied()
+        .filter(|&s| contains(&db.sequences()[s], pattern))
+        .collect()
+}
+
 /// Mine all frequent sequences by level-wise scan. `maxlen` caps the
 /// pattern length in items, like the kernel's `SeqConfig::maxlen`.
 pub fn mine_reference(db: &SeqDb, minsup: MinSupport, maxlen: Option<u32>) -> FrequentSequences {
-    let threshold = minsup.count_threshold(db.num_sequences()).max(1);
+    let threshold = minsup.count_threshold(db.num_sequences()).max(1) as usize;
     let mut out = FrequentSequences::new();
     if maxlen == Some(0) {
         return out;
@@ -56,20 +72,22 @@ pub fn mine_reference(db: &SeqDb, minsup: MinSupport, maxlen: Option<u32>) -> Fr
         .flatten()
         .flat_map(|(_, items)| items.iter().copied())
         .collect();
+    let everyone: Vec<usize> = (0..db.num_sequences()).collect();
     let mut items: Vec<ItemId> = Vec::new();
-    let mut level: Vec<SeqPattern> = Vec::new();
+    // Each frequent pattern of the level with the sequences holding it.
+    let mut level: Vec<(SeqPattern, Vec<usize>)> = Vec::new();
     for i in alphabet {
         let p = SeqPattern::single(i);
-        let s = support_of(db, &p);
-        if s >= threshold {
+        let holders = containing(db, &everyone, &p);
+        if holders.len() >= threshold {
             items.push(i);
-            level.push(p.clone());
-            out.insert(p, s);
+            out.insert(p.clone(), holders.len() as u32);
+            level.push((p, holders));
         }
     }
     while !level.is_empty() {
-        let mut next: Vec<SeqPattern> = Vec::new();
-        for p in &level {
+        let mut next: Vec<(SeqPattern, Vec<usize>)> = Vec::new();
+        for (p, holders) in &level {
             if maxlen.is_some_and(|k| p.len_items() as u32 >= k) {
                 continue;
             }
@@ -81,10 +99,10 @@ pub fn mine_reference(db: &SeqDb, minsup: MinSupport, maxlen: Option<u32>) -> Fr
                 .into_iter()
                 .flatten()
                 {
-                    let s = support_of(db, &cand);
-                    if s >= threshold {
-                        out.insert(cand.clone(), s);
-                        next.push(cand);
+                    let cand_holders = containing(db, holders, &cand);
+                    if cand_holders.len() >= threshold {
+                        out.insert(cand.clone(), cand_holders.len() as u32);
+                        next.push((cand, cand_holders));
                     }
                 }
             }
@@ -122,6 +140,18 @@ mod tests {
         assert_eq!(fs[&SeqPattern::of(&[&[2], &[3]])], 3);
         assert_eq!(fs[&SeqPattern::single(ItemId(1))], 3);
         assert!(!fs.contains_key(&SeqPattern::of(&[&[1, 2]])));
+    }
+
+    #[test]
+    fn reported_supports_are_full_scan_supports() {
+        let db = SeqDb::from_events(
+            questgen::SeqGenerator::new(questgen::SeqParams::tiny(60, 3)).generate_all_raw(),
+        );
+        let fs = mine_reference(&db, MinSupport::from_percent(25.0), None);
+        assert!(fs.keys().any(|p| p.len_items() >= 3), "too shallow a test");
+        for (p, &s) in &fs {
+            assert_eq!(s, support_of(&db, p), "{p}");
+        }
     }
 
     #[test]

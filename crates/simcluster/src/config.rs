@@ -51,12 +51,6 @@ impl ClusterConfig {
         p / self.procs_per_host
     }
 
-    /// Processor ids on host `h`.
-    pub fn procs_on_host(&self, h: usize) -> std::ops::Range<usize> {
-        debug_assert!(h < self.hosts);
-        h * self.procs_per_host..(h + 1) * self.procs_per_host
-    }
-
     /// Do two processors share a host (and hence a local disk)?
     #[inline]
     pub fn same_host(&self, p: usize, q: usize) -> bool {
@@ -162,7 +156,6 @@ mod tests {
         assert_eq!(c.host_of(0), 0);
         assert_eq!(c.host_of(3), 0);
         assert_eq!(c.host_of(4), 1);
-        assert_eq!(c.procs_on_host(1), 4..8);
         assert!(c.same_host(4, 7));
         assert!(!c.same_host(3, 4));
     }

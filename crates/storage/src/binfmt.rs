@@ -12,7 +12,7 @@
 use crate::horizontal::HorizontalDb;
 use crate::vertical::VerticalDb;
 use mining_types::item::{items_as_u32, tids_as_u32};
-use mining_types::{FrequentSet, ItemId, Itemset, Tid};
+use mining_types::{FrequentSet, ItemId, Itemset, Rule, Tid};
 use std::io::{self, Read, Write};
 use tidlist::TidList;
 use wire::{put_u32, put_u32_vec, put_u64, Cursor, DecodeError};
@@ -227,23 +227,6 @@ pub fn read_vertical<R: Read>(r: &mut R) -> io::Result<(VerticalDb, u64)> {
     Ok((VerticalDb::from_lists(lists), read))
 }
 
-/// An association rule in storage form — a mirror of the miner's rule
-/// type with plain fields, so this crate stays independent of the rule
-/// generator. Callers map to/from their rule type field by field.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct RuleRecord {
-    /// Left-hand side.
-    pub antecedent: Itemset,
-    /// Right-hand side.
-    pub consequent: Itemset,
-    /// Support count of antecedent ∪ consequent.
-    pub support: u32,
-    /// Support count of the antecedent alone.
-    pub antecedent_support: u32,
-    /// Support count of the consequent alone.
-    pub consequent_support: u32,
-}
-
 /// A persisted mining result: everything a query server needs to boot
 /// without re-mining.
 #[derive(Clone, Debug, PartialEq)]
@@ -253,7 +236,7 @@ pub struct ResultsSnapshot {
     /// The mined frequent itemsets.
     pub frequent: FrequentSet,
     /// The generated rules.
-    pub rules: Vec<RuleRecord>,
+    pub rules: Vec<Rule>,
     /// Producer generation counter (v2 header field). A streaming miner
     /// bumps this every batch so a serving process can skip re-loading a
     /// snapshot it has already seen; v1 files read back as 0.
@@ -454,7 +437,7 @@ pub fn read_results<R: Read>(r: &mut R) -> io::Result<(ResultsSnapshot, u64)> {
     }
     let mut rules = Vec::new();
     for _ in 0..c.u32()? {
-        rules.push(RuleRecord {
+        rules.push(Rule {
             antecedent: get_itemset(&mut c)?,
             consequent: get_itemset(&mut c)?,
             support: c.u32()?,
@@ -604,7 +587,7 @@ mod tests {
         ResultsSnapshot {
             num_transactions: 5,
             frequent,
-            rules: vec![RuleRecord {
+            rules: vec![Rule {
                 antecedent: Itemset::single(ItemId(0)),
                 consequent: Itemset::single(ItemId(2)),
                 support: 3,

@@ -3,7 +3,7 @@
 
 use crate::stats::BatchStats;
 use assoc_rules::Rule;
-use dbstore::binfmt::{ResultsSnapshot, RuleRecord};
+use dbstore::binfmt::ResultsSnapshot;
 use dbstore::{HorizontalDb, VerticalDb};
 use eclat::equivalence::classes_of_l2;
 use eclat::pipeline::ExecutionPolicy;
@@ -74,17 +74,7 @@ impl MinedState {
         ResultsSnapshot {
             num_transactions: self.num_transactions,
             frequent: self.frequent.clone(),
-            rules: self
-                .rules
-                .iter()
-                .map(|r| RuleRecord {
-                    antecedent: r.antecedent.clone(),
-                    consequent: r.consequent.clone(),
-                    support: r.support,
-                    antecedent_support: r.antecedent_support,
-                    consequent_support: r.consequent_support,
-                })
-                .collect(),
+            rules: self.rules.clone(),
             generation: self.generation,
         }
     }

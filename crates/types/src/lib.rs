@@ -19,6 +19,7 @@ pub mod item;
 pub mod itemset;
 pub mod json;
 pub mod meter;
+pub mod rule;
 pub mod stats;
 pub mod support;
 pub mod triangle;
@@ -28,6 +29,7 @@ pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use item::{ItemId, Tid};
 pub use itemset::{Itemset, KSubsets};
 pub use meter::OpMeter;
+pub use rule::Rule;
 pub use stats::{
     ClassStats, ClusterStats, KernelStats, LevelCounts, MiningStats, PhaseStats, ProcStats,
 };

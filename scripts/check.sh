@@ -95,6 +95,15 @@ cargo run -q --release -p eclat-cli -- simulate --input "$tmpdir/t10.ech" \
 ./scripts/stats_diff "$tmpdir/dist_stats.json" "$tmpdir/sim_stats.json" \
     > /dev/null || test $? -eq 1
 
+echo "==> simulate --algorithm hybrid --procs 1 == simulate (one driver, two partition sizes)"
+# JSON, not the text report: the report rounds seconds to two decimals.
+cargo run -q --release -p eclat-cli -- simulate --input "$tmpdir/t10.ech" \
+    --support 0.25 --hosts 4 --procs 1 --stats=json > "$tmpdir/sim_flat.json"
+cargo run -q --release -p eclat-cli -- simulate --input "$tmpdir/t10.ech" \
+    --support 0.25 --hosts 4 --procs 1 --algorithm hybrid --stats=json \
+    | sed 's/"variant":"hybrid"/"variant":"cluster"/' > "$tmpdir/sim_hybrid.json"
+diff "$tmpdir/sim_flat.json" "$tmpdir/sim_hybrid.json"
+
 echo "==> cargo test --test incremental_golden (incremental replay == full re-mine)"
 cargo test -q --test incremental_golden
 
