@@ -45,7 +45,7 @@ fn main() {
             let mut m = OpMeter::new();
             let cfg = EclatConfig {
                 short_circuit: sc,
-                ..Default::default()
+                ..EclatConfig::paper()
             };
             let fs = eclat::sequential::mine_with(&db, minsup, &cfg, &mut m);
             (fs.len(), m.tid_cmp)
@@ -81,7 +81,7 @@ fn main() {
         ] {
             let cfg = EclatConfig {
                 heuristic: h,
-                ..Default::default()
+                ..EclatConfig::paper()
             };
             let rep = eclat::cluster::mine_cluster(&db, minsup, &topo, &cost, &cfg);
             println!(
@@ -117,7 +117,7 @@ fn main() {
             let mut m = OpMeter::new();
             let cfg = EclatConfig {
                 prune,
-                ..Default::default()
+                ..EclatConfig::paper()
             };
             eclat::sequential::mine_with(&db, minsup, &cfg, &mut m);
             m
@@ -197,13 +197,14 @@ fn main() {
     // ---------- A6: hybrid parallelization (§8.1/§9) ----------
     {
         println!("A6  hybrid host-level parallelization (§8.1/§9 future work)");
+        let cfg = EclatConfig::paper();
         for topo in [
             ClusterConfig::new(2, 4),
             ClusterConfig::new(4, 2),
             ClusterConfig::new(8, 1),
         ] {
-            let flat = eclat::cluster::mine_cluster(&db, minsup, &topo, &cost, &Default::default());
-            let hy = eclat::hybrid::mine_hybrid(&db, minsup, &topo, &cost, &Default::default());
+            let flat = eclat::cluster::mine_cluster(&db, minsup, &topo, &cost, &cfg);
+            let hy = eclat::hybrid::mine_hybrid(&db, minsup, &topo, &cost, &cfg);
             assert_eq!(flat.frequent, hy.frequent);
             println!(
                 "    {:<12} flat {:>8.1}s   hybrid {:>8.1}s   speedup {:.2}",
@@ -266,7 +267,7 @@ fn main() {
         {
             let cfg = eclat::EclatConfig {
                 gallop: true,
-                ..Default::default()
+                ..eclat::EclatConfig::paper()
             };
             let mut m = OpMeter::new();
             let (fs, stats) = eclat::sequential::mine_stats(&db, minsup, &cfg, &mut m);

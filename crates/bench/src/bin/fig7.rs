@@ -27,7 +27,7 @@ fn main() {
     let support = args.support_percent();
     let minsup = MinSupport::from_percent(support);
     let cost = CostModel::dec_alpha_1997();
-    let cfg = EclatConfig::default();
+    let cfg = EclatConfig::paper();
     let with_hybrid = args.has("hybrid");
     let configs = table2_configs(args.has("large-configs"));
     let json_path = args.json_out();

@@ -39,7 +39,7 @@ fn main() {
     };
     let eclat_cfg = EclatConfig {
         heuristic,
-        ..EclatConfig::default()
+        ..EclatConfig::paper()
     };
     let with_cand = args.has("with-candidate-dist");
     let configs = table2_configs(args.has("large-configs"));

@@ -283,12 +283,22 @@ fn cmd_stats(flags: &Flags) -> Result<String, String> {
     Ok(out)
 }
 
+/// The raw `--representation` value, also accepted as `--repr`.
+fn representation_flag(flags: &Flags) -> Option<&str> {
+    flags.get("representation").or_else(|| flags.get("repr"))
+}
+
 /// Parse `--representation
 /// tidlist|diffset|autoswitch[:DEPTH]|bitmap|auto-density[:PERMILLE]`
-/// (also accepted under the `--repr` shorthand).
-fn representation_of(flags: &Flags) -> Result<eclat::Representation, String> {
-    let Some(raw) = flags.get("representation").or_else(|| flags.get("repr")) else {
-        return Ok(eclat::Representation::default());
+/// (also accepted under the `--repr` shorthand), or `fallback` when the
+/// flag is absent: the default configuration's representation for the
+/// miners, the paper's tid-lists for `simulate`.
+fn representation_of(
+    flags: &Flags,
+    fallback: eclat::Representation,
+) -> Result<eclat::Representation, String> {
+    let Some(raw) = representation_flag(flags) else {
+        return Ok(fallback);
     };
     match raw.split_once(':') {
         None => match raw {
@@ -392,7 +402,7 @@ fn cmd_mine(flags: &Flags) -> Result<String, String> {
     let db = load_db(flags)?;
     let minsup = support_of(flags)?;
     let algorithm = flags.get("algorithm").unwrap_or("eclat");
-    let representation = representation_of(flags)?;
+    let representation = representation_of(flags, eclat::EclatConfig::default().representation)?;
     let min_size: usize = flags.parse("min-size", 2usize)?;
     let top: usize = flags.parse("top", 20usize)?;
     let stats = stats_mode(flags)?;
@@ -418,7 +428,7 @@ fn cmd_mine(flags: &Flags) -> Result<String, String> {
                 "--stats supports --algorithm eclat|parallel, not '{other}'"
             ))
         }
-        "apriori" if representation != eclat::Representation::default() => {
+        "apriori" if representation_flag(flags).is_some() => {
             return Err("--representation applies to the eclat variants only".to_string())
         }
         "apriori" => (apriori::mine(&db, minsup), MiningStats::default()),
@@ -518,7 +528,11 @@ fn cmd_simulate(flags: &Flags) -> Result<String, String> {
     let topo = ClusterConfig::new(hosts, procs);
     let cost = CostModel::dec_alpha_1997();
     let algorithm = flags.get("algorithm").unwrap_or("eclat");
-    let cfg = eclat::EclatConfig::with_representation(representation_of(flags)?);
+    // The paper reproduction: tid-lists unless --repr says otherwise.
+    let cfg = eclat::EclatConfig::with_representation(representation_of(
+        flags,
+        eclat::EclatConfig::paper().representation,
+    )?);
     let stats = stats_mode(flags)?;
     let mut out = String::new();
     match algorithm {
@@ -670,7 +684,7 @@ fn spawn_local_workers(
 fn cmd_dmine(flags: &Flags) -> Result<String, String> {
     let db = load_db(flags)?;
     let minsup = support_of(flags)?;
-    let representation = representation_of(flags)?;
+    let representation = representation_of(flags, eclat::EclatConfig::default().representation)?;
     let min_size: usize = flags.parse("min-size", 2usize)?;
     let top: usize = flags.parse("top", 20usize)?;
     let stats = stats_mode(flags)?;
@@ -851,7 +865,7 @@ fn cmd_stream(flags: &Flags) -> Result<String, String> {
     if !(0.0..=1.0).contains(&confidence) {
         return Err("--confidence must be in [0, 1]".to_string());
     }
-    let representation = representation_of(flags)?;
+    let representation = representation_of(flags, eclat::EclatConfig::default().representation)?;
     let stats = stats_mode(flags)?;
     let verify = flags.has("verify");
     let out_path = flags.get("out").map(str::to_string);
@@ -951,6 +965,27 @@ fn cmd_stream(flags: &Flags) -> Result<String, String> {
 }
 
 fn cmd_serve(flags: &Flags) -> Result<String, String> {
+    let serve_secs = flags
+        .get("serve-secs")
+        .map(|raw| {
+            raw.parse::<f64>()
+                .map_err(|_| format!("--serve-secs: cannot parse '{raw}'"))
+        })
+        .transpose()?;
+    serve_until(flags, |_| match serve_secs {
+        Some(secs) => std::thread::sleep(std::time::Duration::from_secs_f64(secs)),
+        // Serve until the process is killed.
+        None => loop {
+            std::thread::sleep(std::time::Duration::from_secs(3600));
+        },
+    })
+}
+
+/// `serve`'s body: build or load the store, start the server and publish
+/// its port, then serve until `stop` returns. `stop` is called with the
+/// bound address once the server accepts connections; after it returns,
+/// the server shuts down and the report is returned.
+fn serve_until(flags: &Flags, stop: impl FnOnce(std::net::SocketAddr)) -> Result<String, String> {
     let shards: usize = flags.parse("shards", 16usize)?;
     let cache: usize = flags.parse("cache", 4096usize)?;
     let workers: usize = flags.parse("workers", 8usize)?;
@@ -1063,43 +1098,30 @@ fn cmd_serve(flags: &Flags) -> Result<String, String> {
             .map_err(|e| format!("write {path}: {e}"))?;
     }
 
-    match flags.get("serve-secs") {
-        Some(raw) => {
-            let secs: f64 = raw
-                .parse()
-                .map_err(|_| format!("--serve-secs: cannot parse '{raw}'"))?;
-            std::thread::sleep(std::time::Duration::from_secs_f64(secs));
-            if let Some((stop, thread)) = reloader {
-                stop.store(true, std::sync::atomic::Ordering::Relaxed);
-                let _ = thread.join();
-            }
-            let counters = handle.shutdown();
-            let _ = writeln!(
-                out,
-                "served {} connections / {} requests ({} protocol errors, {} timeouts, {} reloads)",
-                counters.connections,
-                counters.requests,
-                counters.protocol_errors,
-                counters.timeouts,
-                store.reloads()
-            );
-            let cs = store.cache_stats();
-            let _ = writeln!(
-                out,
-                "cache: {} hits / {} misses ({:.0}% hit rate)",
-                cs.hits,
-                cs.misses,
-                cs.hit_rate() * 100.0
-            );
-            Ok(out)
-        }
-        None => {
-            // Serve until the process is killed.
-            loop {
-                std::thread::sleep(std::time::Duration::from_secs(3600));
-            }
-        }
+    stop(addr);
+    if let Some((stop, thread)) = reloader {
+        stop.store(true, std::sync::atomic::Ordering::Relaxed);
+        let _ = thread.join();
     }
+    let counters = handle.shutdown();
+    let _ = writeln!(
+        out,
+        "served {} connections / {} requests ({} protocol errors, {} timeouts, {} reloads)",
+        counters.connections,
+        counters.requests,
+        counters.protocol_errors,
+        counters.timeouts,
+        store.reloads()
+    );
+    let cs = store.cache_stats();
+    let _ = writeln!(
+        out,
+        "cache: {} hits / {} misses ({:.0}% hit rate)",
+        cs.hits,
+        cs.misses,
+        cs.hit_rate() * 100.0
+    );
+    Ok(out)
 }
 
 fn cmd_query(flags: &Flags) -> Result<String, String> {
@@ -1277,6 +1299,32 @@ mod tests {
         assert!(out.contains("generated T10.I6."), "{out}");
     }
 
+    /// Run `serve` with `args` (flags only) in a thread until the
+    /// returned sender sends or drops. Returns the bound address, the
+    /// sender and the server thread, which yields the report; queries
+    /// have no wall-clock window to fit in.
+    fn spawn_serve(
+        args: &[&str],
+    ) -> (
+        String,
+        std::sync::mpsc::Sender<()>,
+        std::thread::JoinHandle<Result<String, String>>,
+    ) {
+        let flags = parse_flags(&argv(args)).unwrap();
+        let (addr_tx, addr_rx) = std::sync::mpsc::channel();
+        let (stop_tx, stop_rx) = std::sync::mpsc::channel::<()>();
+        let server = std::thread::spawn(move || {
+            serve_until(&flags, |addr| {
+                addr_tx.send(addr).unwrap();
+                let _ = stop_rx.recv();
+            })
+        });
+        match addr_rx.recv() {
+            Ok(addr) => (addr.to_string(), stop_tx, server),
+            Err(_) => panic!("server never listened: {:?}", server.join()),
+        }
+    }
+
     #[test]
     fn help_and_unknown_commands() {
         assert!(run(&argv(&["help"])).unwrap().contains("subcommands"));
@@ -1401,6 +1449,26 @@ mod tests {
         ]))
         .unwrap_err()
         .contains("unknown algorithm"));
+        // --repr applies to the eclat variants only, whatever its value
+        // (the default's own included).
+        for repr in ["tidlist", "auto-density", "bitmap"] {
+            assert!(
+                run(&argv(&[
+                    "mine",
+                    "--input",
+                    &path,
+                    "--support",
+                    "1",
+                    "--algorithm",
+                    "apriori",
+                    "--repr",
+                    repr
+                ]))
+                .unwrap_err()
+                .contains("eclat variants only"),
+                "apriori accepted --repr {repr}"
+            );
+        }
         assert!(run(&argv(&["generate", "--out", "/tmp/x.ech"]))
             .unwrap_err()
             .contains("--transactions"));
@@ -1432,7 +1500,7 @@ mod tests {
         ]))
         .unwrap();
         assert!(
-            human.contains("mining stats: eclat / sequential / tidlist"),
+            human.contains("mining stats: eclat / sequential / auto-density:20"),
             "{human}"
         );
         assert!(human.contains("phases:"), "{human}");
@@ -1471,6 +1539,8 @@ mod tests {
         .unwrap();
         assert!(sim.contains("\"variant\":\"cluster\""), "{sim}");
         assert!(sim.contains("\"load_imbalance\""), "{sim}");
+        // The simulated cluster reproduces the paper on tid-lists.
+        assert!(sim.contains("\"representation\":\"tidlist\""), "{sim}");
 
         // Stats are gated to the variants that produce them.
         assert!(run(&argv(&[
@@ -1564,7 +1634,13 @@ mod tests {
         let base = run(&argv(&["mine", "--input", &path, "--support", "1"])).unwrap();
         let body = |s: String| s.lines().skip(1).collect::<Vec<_>>().join("\n");
         let base_body = body(base);
-        for repr in ["bitmap", "auto-density", "auto-density:0", "auto-density:8"] {
+        for repr in [
+            "tidlist",
+            "bitmap",
+            "auto-density",
+            "auto-density:0",
+            "auto-density:8",
+        ] {
             let out = run(&argv(&[
                 "mine",
                 "--input",
@@ -1590,7 +1666,7 @@ mod tests {
         ]))
         .unwrap();
         assert!(
-            out.contains("\"representation\":\"auto-density:8\""),
+            out.contains("\"representation\":\"auto-density:20\""),
             "{out}"
         );
         // Bad values are rejected with the full menu.
@@ -1644,8 +1720,7 @@ mod tests {
             .into_owned();
         let _ = std::fs::remove_file(&port_file);
 
-        let serve_args = argv(&[
-            "serve",
+        let (addr, stop, server) = spawn_serve(&[
             "--input",
             &path,
             "--support",
@@ -1656,26 +1731,10 @@ mod tests {
             "0",
             "--port-file",
             &port_file,
-            "--serve-secs",
-            "3",
         ]);
-        let server = std::thread::spawn(move || run(&serve_args));
-
-        // Wait for the server to publish its ephemeral port.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
-        let port = loop {
-            if let Ok(s) = std::fs::read_to_string(&port_file) {
-                if let Ok(p) = s.trim().parse::<u16>() {
-                    break p;
-                }
-            }
-            assert!(
-                std::time::Instant::now() < deadline,
-                "port file never appeared"
-            );
-            std::thread::sleep(std::time::Duration::from_millis(20));
-        };
-        let addr = format!("127.0.0.1:{port}");
+        // The ephemeral port is published before the server listens.
+        let port = std::fs::read_to_string(&port_file).unwrap();
+        assert_eq!(format!("127.0.0.1:{}", port.trim()), addr);
 
         let ping = run(&argv(&["query", "--addr", &addr, "--ping"])).unwrap();
         assert_eq!(ping, "pong\n");
@@ -1757,6 +1816,7 @@ mod tests {
             .unwrap_err()
             .contains("nothing to do"));
 
+        stop.send(()).unwrap();
         let report = server.join().unwrap().unwrap();
         assert!(report.contains("serving"), "{report}");
         assert!(report.contains("connections"), "{report}");
@@ -1918,37 +1978,7 @@ mod tests {
         assert!(err.contains("checksum"), "{err}");
         std::fs::remove_file(&bad).unwrap();
 
-        let port_file = std::env::temp_dir()
-            .join(format!("eclat-cli-snapport-{}.txt", std::process::id()))
-            .to_string_lossy()
-            .into_owned();
-        let _ = std::fs::remove_file(&port_file);
-        let serve_args = argv(&[
-            "serve",
-            "--load",
-            &snap,
-            "--port",
-            "0",
-            "--port-file",
-            &port_file,
-            "--serve-secs",
-            "3",
-        ]);
-        let server = std::thread::spawn(move || run(&serve_args));
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
-        let port = loop {
-            if let Ok(s) = std::fs::read_to_string(&port_file) {
-                if let Ok(p) = s.trim().parse::<u16>() {
-                    break p;
-                }
-            }
-            assert!(
-                std::time::Instant::now() < deadline,
-                "port file never appeared"
-            );
-            std::thread::sleep(std::time::Duration::from_millis(20));
-        };
-        let addr = format!("127.0.0.1:{port}");
+        let (addr, stop, server) = spawn_serve(&["--load", &snap, "--port", "0"]);
 
         let ping = run(&argv(&["query", "--addr", &addr, "--ping"])).unwrap();
         assert_eq!(ping, "pong\n");
@@ -1960,11 +1990,11 @@ mod tests {
         let stats = run(&argv(&["query", "--addr", &addr, "--server-stats"])).unwrap();
         assert!(stats.contains("\"itemsets\""), "{stats}");
 
+        stop.send(()).unwrap();
         let report = server.join().unwrap().unwrap();
         assert!(report.contains("serving"), "{report}");
         std::fs::remove_file(&path).unwrap();
         std::fs::remove_file(&snap).unwrap();
-        std::fs::remove_file(&port_file).unwrap();
     }
 
     #[test]
@@ -2088,39 +2118,8 @@ mod tests {
             .into_owned();
         write_snapshot_atomic(&make(0, 1), &snap).unwrap();
 
-        let port_file = std::env::temp_dir()
-            .join(format!("eclat-cli-reloadport-{}.txt", std::process::id()))
-            .to_string_lossy()
-            .into_owned();
-        let _ = std::fs::remove_file(&port_file);
-        let serve_args = argv(&[
-            "serve",
-            "--load",
-            &snap,
-            "--port",
-            "0",
-            "--port-file",
-            &port_file,
-            "--serve-secs",
-            "5",
-            "--reload-secs",
-            "0.05",
-        ]);
-        let server = std::thread::spawn(move || run(&serve_args));
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
-        let port = loop {
-            if let Ok(s) = std::fs::read_to_string(&port_file) {
-                if let Ok(p) = s.trim().parse::<u16>() {
-                    break p;
-                }
-            }
-            assert!(
-                std::time::Instant::now() < deadline,
-                "port file never appeared"
-            );
-            std::thread::sleep(std::time::Duration::from_millis(20));
-        };
-        let addr = format!("127.0.0.1:{port}");
+        let (addr, stop, server) =
+            spawn_serve(&["--load", &snap, "--port", "0", "--reload-secs", "0.05"]);
 
         let support_of_12 = || -> u32 {
             let out = run(&argv(&["query", "--addr", &addr, "--support-of", "1,2"])).unwrap();
@@ -2168,10 +2167,10 @@ mod tests {
         assert!(stats.contains("\"reloads\":1"), "{stats}");
         assert!(stats.contains("\"generation\":2"), "{stats}");
 
+        stop.send(()).unwrap();
         let report = server.join().unwrap().unwrap();
         assert!(report.contains("1 reloads"), "{report}");
         std::fs::remove_file(&snap).unwrap();
-        std::fs::remove_file(&port_file).unwrap();
     }
 
     #[test]

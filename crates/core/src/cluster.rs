@@ -383,7 +383,7 @@ mod tests {
                 minsup,
                 &ClusterConfig::new(h, p),
                 &cost(),
-                &EclatConfig::default(),
+                &EclatConfig::paper(),
             );
             assert_eq!(report.frequent, expect, "H={h} P={p}");
             assert!(report.total_secs() > 0.0);
@@ -399,7 +399,7 @@ mod tests {
             minsup,
             &ClusterConfig::new(2, 2),
             &cost(),
-            &EclatConfig::default(),
+            &EclatConfig::paper(),
         );
         let tl = &report.timeline;
         for phase in [PHASE_INIT, PHASE_TRANSFORM, PHASE_ASYNC, PHASE_REDUCE] {
@@ -422,14 +422,14 @@ mod tests {
             minsup,
             &ClusterConfig::sequential(),
             &cost(),
-            &EclatConfig::default(),
+            &EclatConfig::paper(),
         );
         let par = mine_cluster(
             &db,
             minsup,
             &ClusterConfig::new(4, 1),
             &cost(),
-            &EclatConfig::default(),
+            &EclatConfig::paper(),
         );
         assert_eq!(seq.frequent, par.frequent);
         assert!(
@@ -461,7 +461,7 @@ mod tests {
             MinSupport::from_fraction(0.6),
             &ClusterConfig::new(2, 1),
             &cost(),
-            &EclatConfig::default(),
+            &EclatConfig::paper(),
         );
         assert!(report.frequent.is_empty());
         assert_eq!(report.num_l2, 0);
@@ -492,7 +492,7 @@ mod tests {
     fn cluster_stats_match_sequential_stats() {
         let db = random_db(6, 220, 12, 6);
         let minsup = MinSupport::from_percent(5.0);
-        let cfg = EclatConfig::default();
+        let cfg = EclatConfig::paper();
         let (_, seq) = pipeline::run_stats(
             &db,
             minsup,
@@ -554,7 +554,7 @@ mod tests {
                 minsup,
                 &ClusterConfig::new(2, 2),
                 &cost(),
-                &EclatConfig::default(),
+                &EclatConfig::paper(),
             )
         };
         let a = run();

@@ -33,10 +33,12 @@ use tidlist::TidSet;
 /// Every variant's driver builds `L2` classes as tid-lists (that is what
 /// the vertical transform produces); this knob decides what happens below
 /// `L2`. `pipeline::on_representation` is the one place it is matched.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// There is no `Default`: [`EclatConfig::default`] mines on
+/// [`AutoDensity`](Representation::AutoDensity) and
+/// [`EclatConfig::paper`] on [`TidList`](Representation::TidList).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Representation {
     /// Plain sorted tid-lists — the paper's §4.2 layout.
-    #[default]
     TidList,
     /// d-Eclat diffsets: the very first join below `L2` converts
     /// `d(xy·z) = t(xy) − t(xz)` and the subtree continues on diffsets.
@@ -60,25 +62,42 @@ pub enum Representation {
     /// Per-class density dispatch: a class whose average member density
     /// (`Σ support / (members · window span)`) is at least
     /// `permille / 1000` mines on bitmaps; sparser classes mine on
-    /// diffsets, exactly as [`Diffset`] does.
+    /// diffsets, exactly as [`Diffset`] does. With
+    /// [`DEFAULT_DENSITY_PERMILLE`] this is what [`EclatConfig::default`]
+    /// mines on.
     ///
     /// [`Diffset`]: Representation::Diffset
     AutoDensity {
-        /// Density threshold in thousandths. The default
-        /// [`DEFAULT_DENSITY_PERMILLE`] sits at the bitmap-vs-merge
-        /// op-count crossover: a `w`-word bitmap join costs `w` word ops
-        /// while a tid-list merge costs about `2·d·64·w` element probes, so
-        /// the bitmap is cheaper once density `d ≳ 1/128 ≈ 8‰`. The
-        /// sparse arm is diffsets, whose cost that crossover does not
-        /// model; the threshold is not calibrated on measured seconds.
+        /// Density threshold in thousandths; the default is
+        /// [`DEFAULT_DENSITY_PERMILLE`], the measured crossover between
+        /// the two arms.
         permille: u32,
     },
 }
 
-/// Default `auto-density` threshold: 8‰, the bitmap-vs-merge op-count
-/// crossover. Classes below it mine on diffsets (see
-/// [`Representation::AutoDensity`]).
-pub const DEFAULT_DENSITY_PERMILLE: u32 = 8;
+/// Default `auto-density` threshold: 20‰, where bitmaps start to beat
+/// diffsets on measured seconds. Each `L2` class was mined alone through
+/// `pipeline::mine_class`, best of 3, and its seconds summed per density
+/// band. The inputs were T10.I6.D100K–D400K at 0.25–1 %, T20.I4 and
+/// T20.I6 D100K at 1–2 %, and the 48-item dense D100K at 3 %, each with
+/// two transaction seeds, on a 2-core x86-64 host (release build):
+///
+/// | density ‰ | classes | tid-lists | diffsets | bitmaps |
+/// |---|---|---|---|---|
+/// | < 8 | 885 | 347 ms | **175 ms** | 1 254 ms |
+/// | 8–16 | 243 | 42.3 ms | **20.8 ms** | 51.3 ms |
+/// | 16–20 | 39 | 19.3 ms | **9.0 ms** | 11.2 ms |
+/// | 20–24 | 35 | 6.7 ms | 4.3 ms | **3.8 ms** |
+/// | 24–32 | 12 | 0.68 ms | **0.50 ms** | 0.51 ms |
+/// | 32–64 | 26 | 114 ms | 93 ms | **20 ms** |
+/// | ≥ 64 | 52 | 3 348 ms | 3 341 ms | **279 ms** |
+///
+/// Among thresholds 8–64‰, 20‰ gives the lowest summed seconds (or ties
+/// for it) on seven of the eight inputs; on the eighth, T20.I6 at 2 %,
+/// whose classes take under 0.1 ms in all, it loses 0.08 ms to 22‰.
+/// The previous 8‰ was the bitmap-vs-merge *op-count* crossover; it
+/// sent 8–16‰ classes to bitmaps, which lose 2.5× to diffsets there.
+pub const DEFAULT_DENSITY_PERMILLE: u32 = 20;
 
 impl std::fmt::Display for Representation {
     /// Stable lowercase form used by the CLI flag parser and the stats
@@ -112,8 +131,8 @@ pub struct EclatConfig {
     /// this on adds a cheap piggybacked count during the first scan so
     /// the output is a complete downward-closed set for rule generation.
     pub include_singletons: bool,
-    /// Vertical representation used below `L2` (tid-lists, diffsets, or
-    /// the depth-triggered switch).
+    /// Vertical representation used below `L2`: density-dispatched
+    /// bitmaps/diffsets by default, tid-lists under [`EclatConfig::paper`].
     pub representation: Representation,
     /// Use the adaptive galloping intersection for tid-list joins below
     /// `L2`: exponential search through the longer operand when the
@@ -130,12 +149,18 @@ pub struct EclatConfig {
 }
 
 impl Default for EclatConfig {
+    /// The configuration every user-facing miner runs: per-class
+    /// density dispatch between bitmaps and diffsets at
+    /// [`DEFAULT_DENSITY_PERMILLE`], the measured winner on dense and
+    /// sparse data alike.
     fn default() -> Self {
         EclatConfig {
             short_circuit: true,
             prune: false,
             include_singletons: false,
-            representation: Representation::TidList,
+            representation: Representation::AutoDensity {
+                permille: DEFAULT_DENSITY_PERMILLE,
+            },
             gallop: false,
             heuristic: ScheduleHeuristic::GreedyPairs,
             buffer_bytes: 2 * 1024 * 1024, // the paper's 2 MB buffers
@@ -144,6 +169,18 @@ impl Default for EclatConfig {
 }
 
 impl EclatConfig {
+    /// The paper's configuration: the default on plain tid-lists (§4.2).
+    /// The simulated cluster prices every phase from the kernel's
+    /// operation counts, so the paper reproduction (`eclat simulate`,
+    /// Table 2, Figure 7, the ablations) mines on this to keep its
+    /// simulated seconds.
+    pub fn paper() -> Self {
+        EclatConfig {
+            representation: Representation::TidList,
+            ..Default::default()
+        }
+    }
+
     /// Config that also emits frequent 1-itemsets.
     pub fn with_singletons() -> Self {
         EclatConfig {

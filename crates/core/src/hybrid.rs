@@ -72,7 +72,7 @@ mod tests {
                 minsup,
                 &ClusterConfig::new(hh, pp),
                 &cost(),
-                &EclatConfig::default(),
+                &EclatConfig::paper(),
             );
             assert_eq!(report.frequent, expect, "H={hh} P={pp}");
         }
@@ -95,8 +95,8 @@ mod tests {
         let db = random_db(3, 600, 14, 6);
         let minsup = MinSupport::from_percent(3.0);
         let topo = ClusterConfig::new(2, 4);
-        let flat = mine_cluster(&db, minsup, &topo, &cost(), &EclatConfig::default());
-        let hybrid = mine_hybrid(&db, minsup, &topo, &cost(), &EclatConfig::default());
+        let flat = mine_cluster(&db, minsup, &topo, &cost(), &EclatConfig::paper());
+        let hybrid = mine_hybrid(&db, minsup, &topo, &cost(), &EclatConfig::paper());
         assert_eq!(flat.frequent, hybrid.frequent);
         assert!(
             hybrid.total_secs() < flat.total_secs(),
@@ -120,7 +120,7 @@ mod tests {
                 ScheduleHeuristic::SupportWeighted,
                 ScheduleHeuristic::RoundRobin,
             ] {
-                for base in [EclatConfig::default(), EclatConfig::with_singletons()] {
+                for base in [EclatConfig::paper(), EclatConfig::with_singletons()] {
                     let cfg = EclatConfig { heuristic, ..base };
                     for hosts in [1, 2, 3, 8] {
                         let topo = ClusterConfig::new(hosts, 1);
@@ -149,7 +149,7 @@ mod tests {
     fn hybrid_stats_match_sequential_stats() {
         let db = random_db(11, 240, 12, 6);
         let minsup = MinSupport::from_percent(5.0);
-        let cfg = EclatConfig::default();
+        let cfg = EclatConfig::paper();
         let (_, seq) = crate::pipeline::run_stats(
             &db,
             minsup,
@@ -177,7 +177,7 @@ mod tests {
             MinSupport::from_fraction(0.6),
             &ClusterConfig::new(2, 2),
             &cost(),
-            &EclatConfig::default(),
+            &EclatConfig::paper(),
         );
         assert!(report.frequent.is_empty());
     }

@@ -5,11 +5,15 @@
 //! One generic recursive kernel ([`compute::compute_frequent`], Figure 3
 //! of the paper) serves every variant. It is parameterized over the
 //! members' vertical representation ([`tidlist::TidSet`]): plain
-//! tid-lists, d-Eclat diffsets, or the mid-recursion
+//! tid-lists, d-Eclat diffsets, word-wise bitmaps, or the mid-recursion
 //! [`tidlist::AdaptiveSet`] switcher — selected per run through
-//! [`compute::Representation`] in [`EclatConfig`]. All pairwise candidate
-//! generation funnels through one loop (`compute::join_level`), so
-//! operation metering is comparable across variants and representations.
+//! [`compute::Representation`] in [`EclatConfig`].
+//! [`EclatConfig::default`] picks bitmaps or diffsets per class by
+//! density; [`EclatConfig::paper`] mines on the paper's tid-lists, and
+//! the simulated cluster runs that reproduce the paper use it. All
+//! pairwise candidate generation funnels through one loop
+//! (`compute::join_level`), so operation metering is comparable across
+//! variants and representations.
 //!
 //! The drivers share the three-phase [`pipeline`] (§7's three scans:
 //! initialization/`L2` counting → vertical transformation → asynchronous

@@ -367,7 +367,7 @@ mod tests {
         let oracle = maximal_of(&crate::sequential::mine(&db, minsup));
         let cfg = EclatConfig {
             gallop: true,
-            ..Default::default()
+            ..EclatConfig::paper()
         };
         let mut meter = OpMeter::new();
         assert_eq!(mine_maximal_with(&db, minsup, &cfg, &mut meter), oracle);

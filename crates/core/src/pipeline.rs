@@ -800,7 +800,7 @@ mod tests {
         ];
         for (db, minsup) in &inputs {
             let mut m_base = OpMeter::new();
-            let base = run(db, *minsup, &EclatConfig::default(), &mut m_base, &Serial);
+            let base = run(db, *minsup, &EclatConfig::paper(), &mut m_base, &Serial);
             for repr in [
                 Representation::Diffset,
                 Representation::AutoSwitch { depth: 1 },
@@ -859,7 +859,7 @@ mod tests {
         );
         let cfg = EclatConfig {
             gallop: true,
-            ..Default::default()
+            ..EclatConfig::paper()
         };
         let mut meter = OpMeter::new();
         assert_eq!(run(&db, minsup, &cfg, &mut meter, &Serial), base);
@@ -875,7 +875,7 @@ mod tests {
         let (fs, stats) = run_stats(&db, minsup, &cfg, &mut meter, &Serial, "sequential");
         assert_eq!(fs, run(&db, minsup, &cfg, &mut OpMeter::new(), &Serial));
         assert_eq!(stats.variant, "sequential");
-        assert_eq!(stats.representation, "tidlist");
+        assert_eq!(stats.representation, "auto-density:20");
         assert_eq!(stats.transactions, 150);
         assert_eq!(stats.num_frequent, fs.len() as u64);
         assert_eq!(stats.total_ops, meter);

@@ -189,6 +189,11 @@ fn op_counts_are_pinned() {
             "{representation:?} gallop {gallop} sc {short_circuit}"
         );
     }
+    // The paper's configuration is exactly the first row: tid-lists,
+    // merge joins, short-circuited.
+    let mut meter = OpMeter::new();
+    eclat::sequential::mine_with(&db, minsup, &EclatConfig::paper(), &mut meter);
+    assert_eq!(fields(&meter), pinned[0].3, "paper");
 
     for (representation, expect) in [
         (TidList, [734_949, 0, 122_300, 0, 7_284, 55_080]),
@@ -201,19 +206,45 @@ fn op_counts_are_pinned() {
     }
 
     // On a dense database every class takes auto-density's bitmap arm,
-    // so it meters exactly what plain bitmaps do.
+    // so it — and the default, which is auto-density — meters exactly
+    // what plain bitmaps do.
     let dense = HorizontalDb::from_transactions(
         QuestGenerator::new(QuestParams::dense(1_500, 7)).generate_all(),
     );
     let minsup = MinSupport::from_percent(20.0);
-    for representation in [Representation::AutoDensity { permille: 8 }, Bitmap] {
+    for cfg in [
+        EclatConfig::with_representation(Representation::AutoDensity { permille: 8 }),
+        EclatConfig::with_representation(Bitmap),
+        EclatConfig::default(),
+    ] {
         let mut meter = OpMeter::new();
-        let cfg = EclatConfig::with_representation(representation);
         eclat::sequential::mine_with(&dense, minsup, &cfg, &mut meter);
         assert_eq!(
             fields(&meter),
             [47_559, 0, 190_012, 0, 1_983, 34_259],
-            "dense {representation:?}"
+            "dense {:?}",
+            cfg.representation
+        );
+    }
+
+    // On T10.I6.D5K at 0.5 % every class is sparser than the default
+    // threshold (the densest is 8.4‰), so the default meters exactly
+    // what plain diffsets do.
+    let sparse = HorizontalDb::from_transactions(
+        QuestGenerator::new(QuestParams::t10_i6(5_000).with_seed(7)).generate_all(),
+    );
+    let minsup = MinSupport::from_percent(0.5);
+    for cfg in [
+        EclatConfig::with_representation(Diffset),
+        EclatConfig::default(),
+    ] {
+        let mut meter = OpMeter::new();
+        eclat::sequential::mine_with(&sparse, minsup, &cfg, &mut meter);
+        assert_eq!(
+            fields(&meter),
+            [33_428, 0, 579_774, 0, 1_882, 19_888],
+            "sparse {:?}",
+            cfg.representation
         );
     }
 }

@@ -24,7 +24,8 @@ fn main() {
     ] {
         println!("\n=== {} ===", topo.label());
 
-        let ec = eclat::cluster::mine_cluster(&db, minsup, &topo, &cost, &Default::default());
+        let ec =
+            eclat::cluster::mine_cluster(&db, minsup, &topo, &cost, &eclat::EclatConfig::paper());
         println!(
             "Eclat:      total {:>7.1}s   phases: init {:.1}s | transform {:.1}s | async {:.1}s | reduce {:.2}s",
             ec.total_secs(),

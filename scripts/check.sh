@@ -46,6 +46,11 @@ cargo run -q --release -p eclat-cli -- mine --input "$tmpdir/t10.ech" \
     --support 0.25 --algorithm parallel > "$tmpdir/mine_parallel.out"
 diff <(tail -n +2 "$tmpdir/mine.out") <(tail -n +2 "$tmpdir/mine_parallel.out")
 
+echo "==> mine == mine --repr tidlist (default auto-density vs the paper's tid-list kernel)"
+cargo run -q --release -p eclat-cli -- mine --input "$tmpdir/t10.ech" \
+    --support 0.25 --repr tidlist > "$tmpdir/mine_tidlist.out"
+diff <(tail -n +2 "$tmpdir/mine.out") <(tail -n +2 "$tmpdir/mine_tidlist.out")
+
 echo "==> dmine --spawn-local 2 --threads 2 == mine (hybrid W x P workers)"
 cargo run -q --release -p eclat-cli -- dmine --input "$tmpdir/t10.ech" \
     --support 0.25 --spawn-local 2 --threads 2 > "$tmpdir/dmine_hybrid.out"
@@ -103,6 +108,12 @@ cargo run -q --release -p eclat-cli -- simulate --input "$tmpdir/t10.ech" \
     --support 0.25 --hosts 4 --procs 1 --algorithm hybrid --stats=json \
     | sed 's/"variant":"hybrid"/"variant":"cluster"/' > "$tmpdir/sim_hybrid.json"
 diff "$tmpdir/sim_flat.json" "$tmpdir/sim_hybrid.json"
+
+echo "==> simulate == simulate --repr tidlist (the paper reproduction mines on tid-lists)"
+cargo run -q --release -p eclat-cli -- simulate --input "$tmpdir/t10.ech" \
+    --support 0.25 --hosts 4 --procs 1 --repr tidlist --stats=json \
+    > "$tmpdir/sim_tidlist.json"
+diff "$tmpdir/sim_flat.json" "$tmpdir/sim_tidlist.json"
 
 echo "==> cargo test --test incremental_golden (incremental replay == full re-mine)"
 cargo test -q --test incremental_golden

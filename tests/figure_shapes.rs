@@ -64,7 +64,7 @@ fn table2_improvement_ratio_in_paper_band() {
     let minsup = MinSupport::from_percent(0.1);
     let cost = memchannel::CostModel::dec_alpha_1997();
     let topo = memchannel::ClusterConfig::sequential();
-    let ec = eclat::cluster::mine_cluster(&db, minsup, &topo, &cost, &Default::default());
+    let ec = eclat::cluster::mine_cluster(&db, minsup, &topo, &cost, &eclat::EclatConfig::paper());
     let cd = parbase::mine_count_dist(&db, minsup, &topo, &cost, &Default::default());
     let ratio = cd.total_secs() / ec.total_secs();
     // paper band: 5.2–17.7 sequential; accept a generous neighborhood

@@ -24,7 +24,8 @@ fn eclat_beats_count_distribution_on_every_configuration() {
         ClusterConfig::new(4, 1),
         ClusterConfig::new(2, 4),
     ] {
-        let ec = eclat::cluster::mine_cluster(&db, minsup, &topo, &cost(), &Default::default());
+        let ec =
+            eclat::cluster::mine_cluster(&db, minsup, &topo, &cost(), &eclat::EclatConfig::paper());
         let cd = parbase::mine_count_dist(&db, minsup, &topo, &cost(), &Default::default());
         let ratio = cd.total_secs() / ec.total_secs();
         assert!(
@@ -48,14 +49,14 @@ fn fewer_processors_per_host_wins_at_equal_t() {
         minsup,
         &ClusterConfig::new(8, 1),
         &c,
-        &Default::default(),
+        &eclat::EclatConfig::paper(),
     );
     let t8_p4 = eclat::cluster::mine_cluster(
         &db,
         minsup,
         &ClusterConfig::new(2, 4),
         &c,
-        &Default::default(),
+        &eclat::EclatConfig::paper(),
     );
     assert!(
         t8_p1.total_secs() < t8_p4.total_secs(),
@@ -78,7 +79,7 @@ fn speedup_grows_with_hosts_at_p1() {
                 minsup,
                 &ClusterConfig::new(h, 1),
                 &c,
-                &Default::default(),
+                &eclat::EclatConfig::paper(),
             )
             .total_secs()
         })
@@ -108,7 +109,7 @@ fn transformation_dominates_eclat_setup() {
         minsup,
         &ClusterConfig::sequential(),
         &cost(),
-        &Default::default(),
+        &eclat::EclatConfig::paper(),
     );
     let transform = rep.timeline.phase_secs(eclat::cluster::PHASE_TRANSFORM);
     let init = rep.timeline.phase_secs(eclat::cluster::PHASE_INIT);
@@ -127,7 +128,7 @@ fn count_distribution_scans_per_iteration_eclat_three() {
     let minsup = MinSupport::from_percent(0.1);
     let topo = ClusterConfig::new(2, 1);
     let c = cost();
-    let ec = eclat::cluster::mine_cluster(&db, minsup, &topo, &c, &Default::default());
+    let ec = eclat::cluster::mine_cluster(&db, minsup, &topo, &c, &eclat::EclatConfig::paper());
     let cd = parbase::mine_count_dist(&db, minsup, &topo, &c, &Default::default());
     assert!(cd.iterations >= 8, "expected many iterations at 0.1%");
     let ec_disk = ec.timeline.per_proc[0].disk_ns;
@@ -146,8 +147,8 @@ fn hybrid_recovers_intra_host_disk_contention() {
     let minsup = MinSupport::from_percent(0.1);
     let topo = ClusterConfig::new(2, 4);
     let c = cost();
-    let flat = eclat::cluster::mine_cluster(&db, minsup, &topo, &c, &Default::default());
-    let hybrid = eclat::hybrid::mine_hybrid(&db, minsup, &topo, &c, &Default::default());
+    let flat = eclat::cluster::mine_cluster(&db, minsup, &topo, &c, &eclat::EclatConfig::paper());
+    let hybrid = eclat::hybrid::mine_hybrid(&db, minsup, &topo, &c, &eclat::EclatConfig::paper());
     assert_eq!(flat.frequent, hybrid.frequent);
     assert!(
         hybrid.total_secs() < flat.total_secs(),
@@ -163,8 +164,8 @@ fn simulated_timelines_are_deterministic() {
     let minsup = MinSupport::from_percent(0.2);
     let topo = ClusterConfig::new(4, 2);
     let c = cost();
-    let a = eclat::cluster::mine_cluster(&db, minsup, &topo, &c, &Default::default());
-    let b = eclat::cluster::mine_cluster(&db, minsup, &topo, &c, &Default::default());
+    let a = eclat::cluster::mine_cluster(&db, minsup, &topo, &c, &eclat::EclatConfig::paper());
+    let b = eclat::cluster::mine_cluster(&db, minsup, &topo, &c, &eclat::EclatConfig::paper());
     assert_eq!(a.timeline, b.timeline);
     assert_eq!(a.frequent, b.frequent);
 }
