@@ -1726,7 +1726,7 @@ mod tests {
             "--support",
             "0.5",
             "--confidence",
-            "0.3",
+            "0.9",
             "--port",
             "0",
             "--port-file",

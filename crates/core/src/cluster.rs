@@ -229,15 +229,15 @@ pub(crate) fn simulate(
     let exchange_rounds =
         lockstep_exchange(&mut recorders, &outgoing, cfg.buffer_bytes, &mut barriers);
 
-    // Concatenate partials in owner order → global tid-lists, which each
-    // owner's leader writes to its local disk.
+    // Concatenate partials in owner order → global tid-lists, sized at
+    // their supports, which each owner's leader writes to its local disk.
     let mut owned: Vec<Vec<(ItemId, ItemId, TidList)>> = vec![Vec::new(); owners];
     for (s, &owner) in plan.slot_owner.iter().enumerate() {
-        let mut global = TidList::new();
+        let mut global = TidList::with_capacity(l2[s].2 as usize);
         for part in &partials {
             global.append_partial(&part[s]);
         }
-        debug_assert!(global.support() >= threshold);
+        debug_assert_eq!(global.support(), l2[s].2);
         owned[owner].push((pairs[s].0, pairs[s].1, global));
     }
     drop(partials);

@@ -1,10 +1,9 @@
 //! Shared-memory parallel Eclat on every core.
 //!
 //! The paper's central observation — equivalence classes are independent
-//! (§4.1) — maps directly onto task parallelism: after the sequential
-//! transformation pass, the classes are split over the threads by the
-//! §5.2.1 greedy least-loaded `C(s,2)` schedule and the per-thread results
-//! are merged. This is the variant a downstream user runs on a modern
+//! (§4.1) — maps directly onto task parallelism: after the transformation
+//! pass, the classes are split over the threads by the §5.2.1 greedy
+//! least-loaded `C(s,2)` schedule and the per-thread results are merged. This is the variant a downstream user runs on a modern
 //! multicore machine; the [`crate::cluster`] variant is the paper's 1997
 //! message-passing algorithm under the simulated cost model.
 //!
@@ -12,8 +11,10 @@
 //! [`Rayon`] execution policy (one thread per available core): blocked
 //! counting in phase 1 (each thread counts a transaction block into a
 //! private triangular matrix — the shared-memory analogue of the paper's
-//! per-processor partial counts plus sum-reduction), one greedy class
-//! shard per thread in phase 3. Per-thread operation meters are merged
+//! per-processor partial counts plus sum-reduction), one contiguous run
+//! of the `L2` lists per thread in phase 2 (each thread scans the whole
+//! database for its own pairs, into lists the calling thread allocated),
+//! one greedy class shard per thread in phase 3. Per-thread operation meters are merged
 //! into the caller's meter, so a parallel run reports the same counts as
 //! a serial one.
 

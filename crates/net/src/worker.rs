@@ -662,6 +662,12 @@ impl Session<'_> {
                 self.num_workers
             )));
         }
+        if let Some(&(a, b)) = l2.iter().find(|&&(a, b)| a >= b || b >= db.num_items()) {
+            return Err(NetError::Protocol(format!(
+                "bad plan: pair ({a}, {b}) is not two ordered items below {}",
+                db.num_items()
+            )));
+        }
 
         // ---- Transformation (§5.2.2 + §6.3): local partials, exchange.
         let span_transform = eclat_obs::trace::span(crate::PHASE_TRANSFORM);
@@ -674,6 +680,7 @@ impl Session<'_> {
             &db,
             0..db.num_transactions(),
             &idx,
+            None,
             threads,
             &mut transform_ops,
         );

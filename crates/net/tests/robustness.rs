@@ -3,8 +3,8 @@
 //! * handshake version mismatch is rejected with a diagnostic;
 //! * a worker that dies (or goes silent) mid-exchange aborts the run
 //!   at the coordinator — with a useful message and *without hanging*;
-//! * truncated and oversized frames are answered and never wedge the
-//!   worker;
+//! * truncated and oversized frames, and plans naming impossible pairs,
+//!   are answered and never wedge the worker;
 //! * deposits for unknown run ids are rejected (cross-talk guard) and
 //!   two concurrent runs with distinct run ids share a fleet cleanly.
 
@@ -174,6 +174,50 @@ fn malformed_frames_get_a_diagnostic_and_the_worker_survives() {
             Message::Abort { message, .. } => {
                 assert!(message.contains("database block"), "{message}")
             }
+            other => panic!("expected Abort, got {other:?}"),
+        }
+    }
+
+    // Plans naming a pair that is not two ordered items of the block's
+    // universe: the pair index would otherwise size a rank per item id.
+    let mut block = Vec::new();
+    binfmt::write_horizontal(&random_db(5, 40, 12, 5), &mut block).unwrap();
+    for pair in [(3, 1), (0, u32::MAX)] {
+        let mut s = TcpStream::connect(worker.addr()).unwrap();
+        send_msg(
+            &mut s,
+            &Message::Hello {
+                version: PROTOCOL_VERSION,
+                run_id: 10,
+                rank: 0,
+                num_workers: 1,
+            },
+        );
+        assert!(matches!(recv_msg(&mut s), Message::HelloAck { run_id: 10 }));
+        send_msg(
+            &mut s,
+            &Message::Assign {
+                run_id: 10,
+                threshold: 1,
+                tid_offset: 0,
+                flags: 0,
+                repr_tag: 0,
+                repr_depth: 0,
+                block: block.clone(),
+            },
+        );
+        assert!(matches!(recv_msg(&mut s), Message::Counts { .. }));
+        send_msg(
+            &mut s,
+            &Message::Plan {
+                run_id: 10,
+                l2: vec![pair],
+                slot_owner: vec![0],
+                peers: vec![worker.addr().to_string()],
+            },
+        );
+        match recv_msg(&mut s) {
+            Message::Abort { message, .. } => assert!(message.contains("bad plan"), "{message}"),
             other => panic!("expected Abort, got {other:?}"),
         }
     }

@@ -51,6 +51,29 @@ cargo run -q --release -p eclat-cli -- mine --input "$tmpdir/t10.ech" \
     --support 0.25 --repr tidlist > "$tmpdir/mine_tidlist.out"
 diff <(tail -n +2 "$tmpdir/mine.out") <(tail -n +2 "$tmpdir/mine_tidlist.out")
 
+echo "==> mine == mine --algorithm apriori (an oracle sharing no code with the transform)"
+# Apriori counts candidates on the horizontal layout and also prints the
+# size-1 row; the size >= 2 rows and the top list must agree. T10: 2 621
+# pairs over five 4 096-tid blocks. T20.I6 at 1.2 %: 58 pairs in 28
+# classes, one of them dense enough for the bitmap arm.
+cargo run -q --release -p eclat-cli -- mine --input "$tmpdir/t10.ech" \
+    --support 0.25 --algorithm apriori > "$tmpdir/mine_apriori.out"
+diff <(tail -n +2 "$tmpdir/mine.out") \
+    <(tail -n +2 "$tmpdir/mine_apriori.out" | grep -v '^  size  1:')
+cargo run -q --release -p eclat-cli -- generate --out "$tmpdir/t20.ech" \
+    --family t20i6 --transactions 20000 --seed 7 > /dev/null
+cargo run -q --release -p eclat-cli -- mine --input "$tmpdir/t20.ech" \
+    --support 1.2 > "$tmpdir/t20_mine.out"
+for algorithm in apriori parallel; do
+    cargo run -q --release -p eclat-cli -- mine --input "$tmpdir/t20.ech" \
+        --support 1.2 --algorithm "$algorithm" > "$tmpdir/t20_$algorithm.out"
+    diff <(tail -n +2 "$tmpdir/t20_mine.out") \
+        <(tail -n +2 "$tmpdir/t20_$algorithm.out" | grep -v '^  size  1:')
+done
+cargo run -q --release -p eclat-cli -- dmine --input "$tmpdir/t20.ech" \
+    --support 1.2 --spawn-local 2 --threads 2 > "$tmpdir/t20_dmine.out"
+diff <(tail -n +2 "$tmpdir/t20_mine.out") <(tail -n +2 "$tmpdir/t20_dmine.out")
+
 echo "==> dmine --spawn-local 2 --threads 2 == mine (hybrid W x P workers)"
 cargo run -q --release -p eclat-cli -- dmine --input "$tmpdir/t10.ech" \
     --support 0.25 --spawn-local 2 --threads 2 > "$tmpdir/dmine_hybrid.out"
