@@ -27,7 +27,7 @@
 //! the self-hosted setup (generation + mining) and leaves the span
 //! timeline as a JSONL artifact next to the `--json` document.
 
-use assoc_serve::{Client, Dataset, ServerConfig, Store, StoreConfig};
+use assoc_serve::{Client, Dataset, ServerConfig, Store, DEFAULT_CACHE_ENTRIES};
 use dbstore::HorizontalDb;
 use mining_types::json::{parse, Arr, Obj, Value};
 use mining_types::{Itemset, MinSupport, OpMeter};
@@ -212,7 +212,7 @@ fn main() {
                 rules,
                 num_transactions: db.num_transactions() as u32,
             };
-            let store = std::sync::Arc::new(Store::with_dataset(&dataset, &StoreConfig::default()));
+            let store = std::sync::Arc::new(Store::with_dataset(&dataset, DEFAULT_CACHE_ENTRIES));
             let server_cfg = ServerConfig {
                 workers: cfg.threads,
                 ..ServerConfig::default()

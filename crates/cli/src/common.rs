@@ -102,6 +102,55 @@ pub(crate) fn support_of(flags: &Flags) -> Result<mining_types::MinSupport, Stri
     Ok(mining_types::MinSupport::from_percent(pct))
 }
 
+/// Parse `--confidence FRAC` (`default` when absent) and check it is in
+/// `[0, 1]`. Rule generation panics outside that range, so every command
+/// that generates rules runs this first.
+pub(crate) fn confidence_of(flags: &Flags, default: f64) -> Result<f64, String> {
+    let confidence: f64 = flags.parse("confidence", default)?;
+    if !(0.0..=1.0).contains(&confidence) {
+        return Err("--confidence must be in [0, 1]".to_string());
+    }
+    Ok(confidence)
+}
+
+/// Parse `--serve-secs S`, the fixed window a server command serves for;
+/// `None` serves until the process is killed.
+pub(crate) fn serve_secs(flags: &Flags) -> Result<Option<f64>, String> {
+    let Some(raw) = flags.get("serve-secs") else {
+        return Ok(None);
+    };
+    match raw.parse::<f64>() {
+        Ok(secs) if secs >= 0.0 && secs.is_finite() => Ok(Some(secs)),
+        Ok(_) => Err("--serve-secs must be a finite number >= 0".to_string()),
+        Err(_) => Err(format!("--serve-secs: cannot parse '{raw}'")),
+    }
+}
+
+/// Block for the [`serve_secs`] window and return its length; without a
+/// window, never return.
+pub(crate) fn wait_window(secs: Option<f64>) -> f64 {
+    match secs {
+        Some(secs) => {
+            std::thread::sleep(std::time::Duration::from_secs_f64(secs));
+            secs
+        }
+        None => loop {
+            std::thread::sleep(std::time::Duration::from_secs(3600));
+        },
+    }
+}
+
+/// Publish a server's bound port to `--port-file PATH`, when given, so
+/// scripts that bind port 0 can find it.
+pub(crate) fn write_port_file(flags: &Flags, port: u16) -> Result<(), String> {
+    match flags.get("port-file") {
+        Some(path) => {
+            std::fs::write(path, format!("{port}\n")).map_err(|e| format!("write {path}: {e}"))
+        }
+        None => Ok(()),
+    }
+}
+
 /// Arm the process-wide tracer for a `--trace PATH` run. Single-process
 /// commands have no coordinator to mint a run id, so one is derived
 /// from the wall clock and pid.
@@ -202,6 +251,32 @@ mod tests {
         assert!(support_of(&f).unwrap_err().contains("--support"));
         let f = parse_flags(&argv(&["--minsup", "200"])).unwrap();
         assert!(support_of(&f).unwrap_err().contains("[0, 100]"));
+    }
+
+    #[test]
+    fn confidence_and_serve_window_are_range_checked() {
+        let flags = |toks: &[&str]| parse_flags(&argv(toks)).unwrap();
+        assert_eq!(confidence_of(&flags(&[]), 0.5).unwrap(), 0.5);
+        assert_eq!(
+            confidence_of(&flags(&["--confidence", "1"]), 0.5).unwrap(),
+            1.0
+        );
+        for bad in ["1.5", "-0.1", "NaN"] {
+            let err = confidence_of(&flags(&["--confidence", bad]), 0.5).unwrap_err();
+            assert!(err.contains("[0, 1]"), "{bad}: {err}");
+        }
+        assert_eq!(serve_secs(&flags(&[])).unwrap(), None);
+        assert_eq!(
+            serve_secs(&flags(&["--serve-secs", "0.5"])).unwrap(),
+            Some(0.5)
+        );
+        for bad in ["-1", "inf", "NaN"] {
+            assert!(serve_secs(&flags(&["--serve-secs", bad])).is_err(), "{bad}");
+        }
+        assert!(serve_secs(&flags(&["--serve-secs", "soon"]))
+            .unwrap_err()
+            .contains("cannot parse"));
+        assert_eq!(wait_window(Some(0.0)), 0.0);
     }
 
     #[test]

@@ -69,7 +69,7 @@
 //! ```text
 //! eclat serve    (--input data.ech --support PCT | --load snap.ecr)
 //!                [--port P] [--host H] [--reload-secs S]
-//!                [--confidence FRAC] [--shards N] [--cache N] [--workers N]
+//!                [--confidence FRAC] [--cache N] [--workers N]
 //!                [--port-file PATH] [--serve-secs S]
 //! eclat query    --addr HOST:PORT [--ping] [--support-of LIST]
 //!                [--subsets-of LIST] [--supersets-of LIST] [--rules-for LIST]
@@ -97,8 +97,8 @@ mod common;
 mod seq;
 
 use common::{
-    arm_tracing, parse_flags, parse_items, parse_mem_budget, stats_mode, support_of, write_trace,
-    Flags, StatsMode,
+    arm_tracing, confidence_of, parse_flags, parse_items, parse_mem_budget, serve_secs, stats_mode,
+    support_of, wait_window, write_port_file, write_trace, Flags, StatsMode,
 };
 use dbstore::{binfmt, HorizontalDb};
 use memchannel::{ClusterConfig, CostModel};
@@ -165,7 +165,7 @@ pub fn usage() -> String {
                 [--representation tidlist|diffset|autoswitch[:DEPTH]|bitmap|auto-density[:PERMILLE]]\n\
                 [--out SNAPSHOT] [--verify] [--stats[=json]]\n\
        serve    (--input FILE --support PCT | --load SNAPSHOT) [--port P] [--host H] [--confidence FRAC]\n\
-                [--shards N] [--cache N] [--workers N] [--port-file PATH] [--serve-secs S]\n\
+                [--cache N] [--workers N] [--port-file PATH] [--serve-secs S]\n\
                 [--reload-secs S]\n\
        query    --addr HOST:PORT [--ping] [--support-of LIST] [--subsets-of LIST]\n\
                 [--supersets-of LIST] [--rules-for LIST] [--topk K [--size S]]\n\
@@ -362,6 +362,13 @@ fn render_frequent_body(fs: &FrequentSet, min_size: usize, top: usize) -> String
     out
 }
 
+/// The one mine-then-rules path of `rules`, `mine --out` and
+/// `serve --input`: the full mine `stream --verify` checks against, on
+/// the default configuration, singletons included.
+fn mine_rules(db: &HorizontalDb, minsup: MinSupport, confidence: f64) -> eclat_stream::MinedState {
+    eclat_stream::MinedState::full_mine(db, minsup, confidence, &eclat::EclatConfig::default())
+}
+
 /// Mine with singletons, generate rules, and persist everything as a
 /// checksummed results snapshot (the `mine --out` path).
 fn write_snapshot(
@@ -370,27 +377,16 @@ fn write_snapshot(
     confidence: f64,
     path: &str,
 ) -> Result<String, String> {
-    if !(0.0..=1.0).contains(&confidence) {
-        return Err("--confidence must be in [0, 1]".to_string());
-    }
     // Rule generation needs the complete downward-closed set, so the
     // snapshot is mined with singletons regardless of the display run.
-    let frequent = eclat::sequential::mine_with(
-        db,
-        minsup,
-        &eclat::EclatConfig::with_singletons(),
-        &mut OpMeter::new(),
-    );
-    let rules = assoc_rules::generate(&frequent, confidence);
+    let mined = mine_rules(db, minsup, confidence);
     let snap = binfmt::ResultsSnapshot {
-        num_transactions: db.num_transactions() as u32,
-        frequent,
-        rules,
+        num_transactions: mined.num_transactions,
+        frequent: mined.frequent,
+        rules: mined.rules,
         generation: 1,
     };
-    let f = File::create(path).map_err(|e| format!("create {path}: {e}"))?;
-    let mut w = BufWriter::new(f);
-    let bytes = binfmt::write_results(&snap, &mut w).map_err(|e| format!("write {path}: {e}"))?;
+    let bytes = write_snapshot_atomic(&snap, path)?;
     Ok(format!(
         "snapshot: {} itemsets / {} rules, {bytes} bytes -> {path}\n",
         snap.frequent.len(),
@@ -441,10 +437,12 @@ fn cmd_mine(flags: &Flags) -> Result<String, String> {
     let dt = t0.elapsed().as_secs_f64();
 
     let snapshot_msg = match flags.get("out") {
-        Some(path) => {
-            let confidence: f64 = flags.parse("confidence", 0.5f64)?;
-            Some(write_snapshot(&db, minsup, confidence, path)?)
-        }
+        Some(path) => Some(write_snapshot(
+            &db,
+            minsup,
+            confidence_of(flags, 0.5)?,
+            path,
+        )?),
         None => None,
     };
     let trace_msg = trace_path.map(write_trace).transpose()?;
@@ -483,27 +481,17 @@ fn cmd_mine(flags: &Flags) -> Result<String, String> {
 fn cmd_rules(flags: &Flags) -> Result<String, String> {
     let db = load_db(flags)?;
     let minsup = support_of(flags)?;
-    let confidence: f64 = flags.parse("confidence", 0.8f64)?;
-    if !(0.0..=1.0).contains(&confidence) {
-        return Err("--confidence must be in [0, 1]".to_string());
-    }
+    let confidence = confidence_of(flags, 0.8)?;
     let top: usize = flags.parse("top", 20usize)?;
-    let mut meter = OpMeter::new();
-    let fs = eclat::sequential::mine_with(
-        &db,
-        minsup,
-        &eclat::EclatConfig::with_singletons(),
-        &mut meter,
-    );
-    let rules = assoc_rules::generate(&fs, confidence);
+    let mined = mine_rules(&db, minsup, confidence);
     let mut out = String::new();
     let _ = writeln!(
         out,
         "{} rules at confidence >= {confidence} (from {} frequent itemsets)",
-        rules.len(),
-        fs.len()
+        mined.rules.len(),
+        mined.frequent.len()
     );
-    for r in rules.iter().take(top) {
+    for r in mined.rules.iter().take(top) {
         let _ = writeln!(
             out,
             "  {:<26} => {:<18} conf {:.3}  sup {:>6}  lift {:.2}",
@@ -583,6 +571,7 @@ fn cmd_simulate(flags: &Flags) -> Result<String, String> {
 }
 
 fn cmd_worker(flags: &Flags) -> Result<String, String> {
+    let secs = serve_secs(flags)?;
     let cfg = eclat_net::WorkerConfig {
         listen: flags.get("listen").unwrap_or("127.0.0.1:0").to_string(),
         threads: flags.parse("threads", 1usize)?,
@@ -594,27 +583,11 @@ fn cmd_worker(flags: &Flags) -> Result<String, String> {
         eclat_net::start_worker(&cfg).map_err(|e| format!("bind {}: {e}", cfg.listen))?;
     let addr = handle.addr();
     let mut out = format!("worker listening on {addr}\n");
-    if let Some(path) = flags.get("port-file") {
-        std::fs::write(path, format!("{}\n", addr.port()))
-            .map_err(|e| format!("write {path}: {e}"))?;
-    }
-    match flags.get("serve-secs") {
-        Some(raw) => {
-            let secs: f64 = raw
-                .parse()
-                .map_err(|_| format!("--serve-secs: cannot parse '{raw}'"))?;
-            std::thread::sleep(std::time::Duration::from_secs_f64(secs));
-            handle.shutdown();
-            let _ = writeln!(out, "worker shut down after {secs}s");
-            Ok(out)
-        }
-        None => {
-            // Serve until the process is killed.
-            loop {
-                std::thread::sleep(std::time::Duration::from_secs(3600));
-            }
-        }
-    }
+    write_port_file(flags, addr.port())?;
+    let secs = wait_window(secs);
+    handle.shutdown();
+    let _ = writeln!(out, "worker shut down after {secs}s");
+    Ok(out)
 }
 
 /// Child worker processes spawned by `dmine --spawn-local`, killed when
@@ -861,10 +834,7 @@ fn cmd_stream(flags: &Flags) -> Result<String, String> {
     if batch == 0 {
         return Err("--batch must be > 0".to_string());
     }
-    let confidence: f64 = flags.parse("confidence", 0.5f64)?;
-    if !(0.0..=1.0).contains(&confidence) {
-        return Err("--confidence must be in [0, 1]".to_string());
-    }
+    let confidence = confidence_of(flags, 0.5)?;
     let representation = representation_of(flags, eclat::EclatConfig::default().representation)?;
     let stats = stats_mode(flags)?;
     let verify = flags.has("verify");
@@ -965,19 +935,9 @@ fn cmd_stream(flags: &Flags) -> Result<String, String> {
 }
 
 fn cmd_serve(flags: &Flags) -> Result<String, String> {
-    let serve_secs = flags
-        .get("serve-secs")
-        .map(|raw| {
-            raw.parse::<f64>()
-                .map_err(|_| format!("--serve-secs: cannot parse '{raw}'"))
-        })
-        .transpose()?;
-    serve_until(flags, |_| match serve_secs {
-        Some(secs) => std::thread::sleep(std::time::Duration::from_secs_f64(secs)),
-        // Serve until the process is killed.
-        None => loop {
-            std::thread::sleep(std::time::Duration::from_secs(3600));
-        },
+    let secs = serve_secs(flags)?;
+    serve_until(flags, |_| {
+        wait_window(secs);
     })
 }
 
@@ -986,11 +946,10 @@ fn cmd_serve(flags: &Flags) -> Result<String, String> {
 /// bound address once the server accepts connections; after it returns,
 /// the server shuts down and the report is returned.
 fn serve_until(flags: &Flags, stop: impl FnOnce(std::net::SocketAddr)) -> Result<String, String> {
-    let shards: usize = flags.parse("shards", 16usize)?;
-    let cache: usize = flags.parse("cache", 4096usize)?;
+    let cache: usize = flags.parse("cache", assoc_serve::DEFAULT_CACHE_ENTRIES)?;
     let workers: usize = flags.parse("workers", 8usize)?;
-    if shards == 0 || workers == 0 {
-        return Err("--shards and --workers must be > 0".to_string());
+    if workers == 0 {
+        return Err("--workers must be > 0".to_string());
     }
 
     let t0 = std::time::Instant::now();
@@ -1004,30 +963,15 @@ fn serve_until(flags: &Flags, stop: impl FnOnce(std::net::SocketAddr)) -> Result
     } else {
         let db = load_db(flags)?;
         let minsup = support_of(flags)?;
-        let confidence: f64 = flags.parse("confidence", 0.5f64)?;
-        if !(0.0..=1.0).contains(&confidence) {
-            return Err("--confidence must be in [0, 1]".to_string());
-        }
-        let frequent = eclat::sequential::mine_with(
-            &db,
-            minsup,
-            &eclat::EclatConfig::with_singletons(),
-            &mut OpMeter::new(),
-        );
-        let rules = assoc_rules::generate(&frequent, confidence);
+        let confidence = confidence_of(flags, 0.5)?;
+        let mined = mine_rules(&db, minsup, confidence);
         assoc_serve::Dataset {
-            frequent,
-            rules,
-            num_transactions: db.num_transactions() as u32,
+            frequent: mined.frequent,
+            rules: mined.rules,
+            num_transactions: mined.num_transactions,
         }
     };
-    let store = std::sync::Arc::new(assoc_serve::Store::with_dataset(
-        &dataset,
-        &assoc_serve::StoreConfig {
-            shards,
-            cache_entries: cache,
-        },
-    ));
+    let store = std::sync::Arc::new(assoc_serve::Store::with_dataset(&dataset, cache));
     let built = t0.elapsed().as_secs_f64();
 
     let cfg = assoc_serve::ServerConfig {
@@ -1090,13 +1034,10 @@ fn serve_until(flags: &Flags, stop: impl FnOnce(std::net::SocketAddr)) -> Result
     let stats = store.serve_stats(None);
     let _ = writeln!(
         out,
-        "serving {} itemsets / {} rules on {addr} ({shards} shards, {workers} workers, built in {built:.2}s)",
+        "serving {} itemsets / {} rules on {addr} ({workers} workers, built in {built:.2}s)",
         stats.itemsets, stats.rules
     );
-    if let Some(path) = flags.get("port-file") {
-        std::fs::write(path, format!("{}\n", addr.port()))
-            .map_err(|e| format!("write {path}: {e}"))?;
-    }
+    write_port_file(flags, addr.port())?;
 
     stop(addr);
     if let Some((stop, thread)) = reloader {
@@ -1720,11 +1661,14 @@ mod tests {
             .into_owned();
         let _ = std::fs::remove_file(&port_file);
 
+        // 0.8 % of 1 200 is 10 transactions: 715 itemsets and 102 rules,
+        // and the most frequent singleton keeps frequent supersets (its
+        // best pairs have support 10, so 1 % would leave it alone).
         let (addr, stop, server) = spawn_serve(&[
             "--input",
             &path,
             "--support",
-            "0.5",
+            "0.8",
             "--confidence",
             "0.9",
             "--port",
@@ -1788,6 +1732,9 @@ mod tests {
         ]))
         .unwrap();
         assert!(sups.contains("frequent supersets of"), "{sups}");
+        // The singleton itself and at least one proper superset.
+        let found: usize = sups.split_whitespace().next().unwrap().parse().unwrap();
+        assert!(found >= 2, "{sups}");
 
         let stats = run(&argv(&["query", "--addr", &addr, "--server-stats"])).unwrap();
         assert!(stats.contains("\"cache\""), "{stats}");

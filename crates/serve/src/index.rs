@@ -1,17 +1,18 @@
 //! Read-optimized prefix-trie index over mined artifacts.
 //!
-//! One [`IndexShard`] holds every frequent itemset whose *first* (smallest)
-//! item routes to the shard, stored in a [`Trie`] keyed by the sorted item
-//! sequence, plus the pre-generated rules grouped by antecedent and
-//! per-size support-ordered rankings for top-k queries. Shards are built
-//! once and never mutated — the store layer swaps whole shard tables
-//! ([`crate::store`]), so everything here is `&self` and safe to share
-//! across reader threads without locks.
+//! One [`Index`] holds every frequent itemset of a dataset in a [`Trie`]
+//! keyed by the sorted item sequence, plus the pre-generated rules
+//! grouped by antecedent and per-size support-ordered rankings for top-k
+//! queries. An index is built once and never mutated — the store layer
+//! swaps whole generations ([`crate::store`]), so everything here is
+//! `&self` and safe to share across reader threads without locks.
 //!
 //! Result orderings are part of the query contract (the wire protocol
-//! exposes them verbatim and the oracle property test pins them):
+//! exposes them verbatim and the oracle property test pins them). Each
+//! answer is a prefix of the index's own order, so no query sorts:
 //!
-//! * subset / superset enumeration: lexicographic ascending;
+//! * subset / superset enumeration: lexicographic ascending (the trie's
+//!   depth-first order);
 //! * top-k itemsets: support descending, then lexicographic;
 //! * rules for an antecedent: confidence descending (within one antecedent
 //!   this equals support descending — the antecedent support is shared),
@@ -115,12 +116,14 @@ impl Trie {
         self.nodes[at as usize].support
     }
 
-    /// Append up to `limit` stored itemsets that are **subsets** of the
-    /// sorted `query` (including `query` itself when stored), in
-    /// lexicographic order.
-    pub fn subsets_of(&self, query: &[ItemId], limit: usize, out: &mut Vec<Counted>) {
+    /// Up to `limit` stored itemsets that are **subsets** of the sorted
+    /// `query` (including `query` itself when stored), in lexicographic
+    /// order.
+    pub fn subsets_of(&self, query: &[ItemId], limit: usize) -> Vec<Counted> {
+        let mut out = Vec::new();
         let mut path = Vec::with_capacity(query.len());
-        self.subsets_rec(0, query, 0, &mut path, limit, out);
+        self.subsets_rec(0, query, 0, &mut path, limit, &mut out);
+        out
     }
 
     fn subsets_rec(
@@ -154,12 +157,14 @@ impl Trie {
         }
     }
 
-    /// Append up to `limit` stored itemsets that are **supersets** of the
-    /// sorted `query` (including `query` itself when stored), in
-    /// lexicographic order. An empty query enumerates everything.
-    pub fn supersets_of(&self, query: &[ItemId], limit: usize, out: &mut Vec<Counted>) {
+    /// Up to `limit` stored itemsets that are **supersets** of the sorted
+    /// `query` (including `query` itself when stored), in lexicographic
+    /// order. An empty query enumerates everything.
+    pub fn supersets_of(&self, query: &[ItemId], limit: usize) -> Vec<Counted> {
+        let mut out = Vec::new();
         let mut path = Vec::new();
-        self.supersets_rec(0, query, 0, &mut path, limit, out);
+        self.supersets_rec(0, query, 0, &mut path, limit, &mut out);
+        out
     }
 
     fn supersets_rec(
@@ -211,34 +216,79 @@ impl Trie {
     }
 }
 
-/// One shard of the read-optimized index: the itemsets (and rules) whose
-/// first item routes here.
+/// The read-optimized index of one dataset: the itemset trie, the rules
+/// grouped by antecedent, and the support rankings for top-k queries.
 #[derive(Clone, Debug, Default)]
-pub struct IndexShard {
+pub struct Index {
     trie: Trie,
     rules: FxHashMap<Itemset, Vec<RuleEntry>>,
     /// `ranked[k-1]` = all stored `k`-itemsets, support descending then
     /// lexicographic; `ranked_all` is the same over every size.
     ranked: Vec<Vec<Counted>>,
     ranked_all: Vec<Counted>,
-    num_itemsets: usize,
-    num_rules: usize,
 }
 
-impl IndexShard {
-    /// Exact support of `itemset`, if stored.
+impl Index {
+    /// Build the index of `dataset`.
+    pub fn build(dataset: &Dataset) -> Index {
+        let mut index = Index::default();
+        // Insert itemsets in sorted order so trie children are appended
+        // mostly in order and the ranked lists tie-break deterministically.
+        for c in dataset.frequent.sorted() {
+            index.trie.insert(c.itemset.items(), c.support);
+            let k = c.itemset.len();
+            if index.ranked.len() < k {
+                index.ranked.resize(k, Vec::new());
+            }
+            index.ranked[k - 1].push(c.clone());
+            index.ranked_all.push(c);
+        }
+        for ranked in index
+            .ranked
+            .iter_mut()
+            .chain(std::iter::once(&mut index.ranked_all))
+        {
+            ranked.sort_by(|a, b| b.support.cmp(&a.support).then(a.itemset.cmp(&b.itemset)));
+        }
+
+        for rule in &dataset.rules {
+            index
+                .rules
+                .entry(rule.antecedent.clone())
+                .or_default()
+                .push(RuleEntry {
+                    consequent: rule.consequent.clone(),
+                    support: rule.support,
+                    antecedent_support: rule.antecedent_support,
+                    consequent_support: rule.consequent_support,
+                });
+        }
+        for entries in index.rules.values_mut() {
+            // Within one antecedent every entry shares antecedent_support,
+            // so support descending *is* confidence descending — integer
+            // comparison, no float ties.
+            entries.sort_by(|a, b| {
+                b.support
+                    .cmp(&a.support)
+                    .then(a.consequent.cmp(&b.consequent))
+            });
+        }
+        index
+    }
+
+    /// Exact support of `itemset`, if stored (never for the empty set).
     pub fn support(&self, itemset: &Itemset) -> Option<u32> {
         self.trie.support(itemset.items())
     }
 
     /// Lexicographic subset enumeration (see [`Trie::subsets_of`]).
-    pub fn subsets_of(&self, query: &Itemset, limit: usize, out: &mut Vec<Counted>) {
-        self.trie.subsets_of(query.items(), limit, out);
+    pub fn subsets_of(&self, query: &Itemset, limit: usize) -> Vec<Counted> {
+        self.trie.subsets_of(query.items(), limit)
     }
 
     /// Lexicographic superset enumeration (see [`Trie::supersets_of`]).
-    pub fn supersets_of(&self, query: &Itemset, limit: usize, out: &mut Vec<Counted>) {
-        self.trie.supersets_of(query.items(), limit, out);
+    pub fn supersets_of(&self, query: &Itemset, limit: usize) -> Vec<Counted> {
+        self.trie.supersets_of(query.items(), limit)
     }
 
     /// Up to `k` rules with exactly this antecedent, confidence
@@ -264,87 +314,20 @@ impl IndexShard {
         &ranked[..k.min(ranked.len())]
     }
 
-    /// Itemsets stored in this shard.
+    /// Itemsets stored.
     pub fn num_itemsets(&self) -> usize {
-        self.num_itemsets
+        self.ranked_all.len()
     }
 
-    /// Rules stored in this shard.
+    /// Rules stored.
     pub fn num_rules(&self) -> usize {
-        self.num_rules
+        self.rules.values().map(Vec::len).sum()
     }
 
-    /// Trie nodes in this shard (root included).
+    /// Trie nodes (root included).
     pub fn num_trie_nodes(&self) -> usize {
         self.trie.num_nodes()
     }
-}
-
-/// Shard index for an itemset: by its first item, modulo `num_shards`.
-/// The empty itemset routes to shard 0 (it is never stored; the store
-/// layer special-cases queries about it).
-pub fn shard_of(itemset: &Itemset, num_shards: usize) -> usize {
-    itemset.first().map(|i| i.index() % num_shards).unwrap_or(0)
-}
-
-/// Build `num_shards` immutable shards from a dataset.
-///
-/// # Panics
-/// Panics if `num_shards == 0`.
-pub fn build_shards(dataset: &Dataset, num_shards: usize) -> Vec<IndexShard> {
-    assert!(num_shards > 0, "need at least one shard");
-    let mut shards = vec![IndexShard::default(); num_shards];
-
-    // Insert itemsets in sorted order so trie children are appended
-    // mostly in order and the ranked lists tie-break deterministically.
-    for c in dataset.frequent.sorted() {
-        let shard = &mut shards[shard_of(&c.itemset, num_shards)];
-        shard.trie.insert(c.itemset.items(), c.support);
-        shard.num_itemsets += 1;
-        let k = c.itemset.len();
-        if shard.ranked.len() < k {
-            shard.ranked.resize(k, Vec::new());
-        }
-        shard.ranked[k - 1].push(c.clone());
-        shard.ranked_all.push(c);
-    }
-    for shard in &mut shards {
-        for ranked in shard
-            .ranked
-            .iter_mut()
-            .chain(std::iter::once(&mut shard.ranked_all))
-        {
-            ranked.sort_by(|a, b| b.support.cmp(&a.support).then(a.itemset.cmp(&b.itemset)));
-        }
-    }
-
-    for rule in &dataset.rules {
-        let shard = &mut shards[shard_of(&rule.antecedent, num_shards)];
-        shard
-            .rules
-            .entry(rule.antecedent.clone())
-            .or_default()
-            .push(RuleEntry {
-                consequent: rule.consequent.clone(),
-                support: rule.support,
-                antecedent_support: rule.antecedent_support,
-                consequent_support: rule.consequent_support,
-            });
-        shard.num_rules += 1;
-    }
-    for shard in &mut shards {
-        for entries in shard.rules.values_mut() {
-            // Within one antecedent every entry shares antecedent_support,
-            // so support descending *is* confidence descending — integer
-            // comparison, no float ties.
-            entries.sort_by(|a, b| {
-                b.support
-                    .cmp(&a.support)
-                    .then(a.consequent.cmp(&b.consequent))
-            });
-        }
-    }
-    shards
 }
 
 #[cfg(test)]
@@ -375,39 +358,23 @@ mod tests {
         }
     }
 
-    fn all_shards_collect(
-        shards: &[IndexShard],
-        f: impl Fn(&IndexShard, &mut Vec<Counted>),
-    ) -> Vec<Counted> {
-        let mut out = Vec::new();
-        for s in shards {
-            f(s, &mut out);
-        }
-        out.sort_by(|a, b| a.itemset.cmp(&b.itemset));
-        out
+    fn names(got: &[Counted]) -> Vec<Itemset> {
+        got.iter().map(|c| c.itemset.clone()).collect()
     }
 
     #[test]
-    fn exact_support_across_shards() {
-        for shards in [build_shards(&dataset(), 1), build_shards(&dataset(), 4)] {
-            let q = iset(&[1, 2]);
-            assert_eq!(shards[shard_of(&q, shards.len())].support(&q), Some(5));
-            let missing = iset(&[2, 4]);
-            assert_eq!(
-                shards[shard_of(&missing, shards.len())].support(&missing),
-                None
-            );
-        }
+    fn exact_support() {
+        let index = Index::build(&dataset());
+        assert_eq!(index.support(&iset(&[1, 2])), Some(5));
+        assert_eq!(index.support(&iset(&[2, 4])), None);
+        assert_eq!(index.support(&Itemset::empty()), None);
     }
 
     #[test]
     fn subset_enumeration_is_lexicographic() {
-        let shards = build_shards(&dataset(), 3);
-        let q = iset(&[1, 2, 3]);
-        let got = all_shards_collect(&shards, |s, out| s.subsets_of(&q, usize::MAX, out));
-        let names: Vec<Itemset> = got.iter().map(|c| c.itemset.clone()).collect();
+        let index = Index::build(&dataset());
         assert_eq!(
-            names,
+            names(&index.subsets_of(&iset(&[1, 2, 3]), usize::MAX)),
             vec![
                 iset(&[1]),
                 iset(&[1, 2]),
@@ -418,47 +385,35 @@ mod tests {
                 iset(&[3]),
             ]
         );
+        assert!(index.subsets_of(&Itemset::empty(), usize::MAX).is_empty());
     }
 
     #[test]
     fn superset_enumeration_includes_self_and_respects_limit() {
-        let shards = build_shards(&dataset(), 2);
+        let index = Index::build(&dataset());
         let q = iset(&[2]);
-        let got = all_shards_collect(&shards, |s, out| s.supersets_of(&q, usize::MAX, out));
-        let names: Vec<Itemset> = got.iter().map(|c| c.itemset.clone()).collect();
         assert_eq!(
-            names,
+            names(&index.supersets_of(&q, usize::MAX)),
             vec![iset(&[1, 2]), iset(&[1, 2, 3]), iset(&[2]), iset(&[2, 3])]
         );
-
-        // Per-shard limit: each shard returns its lexicographically first
-        // `limit` hits, so the global first `limit` survive the merge.
-        let mut limited = Vec::new();
-        for s in &shards {
-            let mut one = Vec::new();
-            s.supersets_of(&q, 2, &mut one);
-            assert!(one.len() <= 2);
-            limited.extend(one);
-        }
-        limited.sort_by(|a, b| a.itemset.cmp(&b.itemset));
-        limited.truncate(2);
-        assert_eq!(limited[0].itemset, iset(&[1, 2]));
-        assert_eq!(limited[1].itemset, iset(&[1, 2, 3]));
+        // The limit keeps the lexicographically first hits.
+        assert_eq!(
+            names(&index.supersets_of(&q, 2)),
+            vec![iset(&[1, 2]), iset(&[1, 2, 3])]
+        );
     }
 
     #[test]
     fn empty_query_supersets_enumerate_everything() {
-        let shards = build_shards(&dataset(), 2);
-        let q = Itemset::empty();
-        let got = all_shards_collect(&shards, |s, out| s.supersets_of(&q, usize::MAX, out));
-        assert_eq!(got.len(), 7);
+        let index = Index::build(&dataset());
+        assert_eq!(index.supersets_of(&Itemset::empty(), usize::MAX).len(), 7);
     }
 
     #[test]
     fn rules_ranked_by_confidence_then_consequent() {
-        let shards = build_shards(&dataset(), 1);
+        let index = Index::build(&dataset());
         let a = iset(&[1]);
-        let entries = shards[0].rules_for(&a, 10);
+        let entries = index.rules_for(&a, 10);
         assert!(!entries.is_empty());
         for w in entries.windows(2) {
             assert!(
@@ -467,25 +422,20 @@ mod tests {
                         && w[0].consequent <= w[1].consequent)
             );
         }
-        assert_eq!(shards[0].rules_for(&a, 1).len(), 1);
-        assert!(shards[0].rules_for(&iset(&[9]), 5).is_empty());
+        assert_eq!(index.rules_for(&a, 1).len(), 1);
+        assert!(index.rules_for(&iset(&[9]), 5).is_empty());
+        assert!(index.rules_for(&Itemset::empty(), 5).is_empty());
     }
 
     #[test]
     fn top_k_ranked_by_support() {
-        let shards = build_shards(&dataset(), 1);
-        let top = shards[0].top_k(1, 2);
+        let index = Index::build(&dataset());
+        let top = index.top_k(1, 2);
         assert_eq!(top[0].itemset, iset(&[1]));
         assert_eq!(top[1].itemset, iset(&[2]));
-        let any = shards[0].top_k(0, 3);
+        let any = index.top_k(0, 3);
         assert_eq!(any[0].support, 10);
         assert_eq!(any.len(), 3);
-        assert!(shards[0].top_k(9, 5).is_empty());
-    }
-
-    #[test]
-    fn shard_routing_is_stable() {
-        assert_eq!(shard_of(&iset(&[5, 9]), 4), 1);
-        assert_eq!(shard_of(&Itemset::empty(), 4), 0);
+        assert!(index.top_k(9, 5).is_empty());
     }
 }

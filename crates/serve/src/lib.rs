@@ -9,7 +9,7 @@
 //!   shapes: exact support, subset/superset enumeration, top-k rules for
 //!   an antecedent ("items bought with X"), and top-k frequent
 //!   k-itemsets;
-//! * [`store`] — shards the index by first item behind `Arc` snapshots
+//! * [`store`] — serves one index per generation behind an `Arc`
 //!   (readers never block, reloads swap a pointer) with a bounded LRU
 //!   [`cache`] in front, instrumented with hit/miss counters;
 //! * [`protocol`] — a length-prefixed binary wire format with strict
@@ -35,9 +35,9 @@ pub mod store;
 
 pub use cache::{CacheStats, QueryCache};
 pub use client::Client;
-pub use index::{Dataset, IndexShard, RuleEntry};
+pub use index::{Dataset, Index, RuleEntry};
 pub use metrics::ServeMetrics;
 pub use protocol::{Query, Response};
 pub use server::{start, ServerConfig, ServerHandle};
 pub use stats::{QueryStat, ServeStats, ServerCounters};
-pub use store::{Store, StoreConfig};
+pub use store::{Store, DEFAULT_CACHE_ENTRIES};

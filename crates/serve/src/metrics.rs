@@ -153,7 +153,6 @@ mod tests {
         ServeStats {
             generation: 3,
             reloads: 0,
-            shards: 4,
             itemsets: 10,
             rules: 5,
             trie_nodes: 20,

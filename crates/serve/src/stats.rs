@@ -4,12 +4,12 @@
 
 use crate::cache::CacheStats;
 use mining_types::json::{Arr, Obj};
-use std::fmt::Write as _;
 
 /// Bump when the serving-stats JSON layout changes.
 /// v2: added the per-query-kind `queries` latency section.
 /// v3: added the `reloads` hot-reload counter.
-pub const SERVE_SCHEMA_VERSION: u64 = 3;
+/// v4: dropped the `shards` count (a generation is one index).
+pub const SERVE_SCHEMA_VERSION: u64 = 4;
 
 /// Counters maintained by the TCP server ([`crate::server`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -75,8 +75,6 @@ pub struct ServeStats {
     /// Hot reloads performed after the initial load (see
     /// [`crate::Store::reload`]).
     pub reloads: u64,
-    /// Number of index shards.
-    pub shards: u64,
     /// Frequent itemsets served.
     pub itemsets: u64,
     /// Rules served.
@@ -125,7 +123,6 @@ impl ServeStats {
             .u64("schema_version", SERVE_SCHEMA_VERSION)
             .u64("generation", self.generation)
             .u64("reloads", self.reloads)
-            .u64("shards", self.shards)
             .u64("itemsets", self.itemsets)
             .u64("rules", self.rules)
             .u64("trie_nodes", self.trie_nodes)
@@ -134,43 +131,6 @@ impl ServeStats {
             .raw("server", &server)
             .raw("queries", &queries)
             .finish()
-    }
-
-    /// Human-readable report.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "serve stats: generation {} ({} reloads) / {} shards / {} itemsets / {} rules ({} trie nodes)",
-            self.generation, self.reloads, self.shards, self.itemsets, self.rules, self.trie_nodes
-        );
-        let _ = writeln!(
-            out,
-            "  cache: {}/{} entries, {} hits / {} misses ({:.1}% hit rate), {} evictions",
-            self.cache.entries,
-            self.cache.capacity,
-            self.cache.hits,
-            self.cache.misses,
-            self.cache.hit_rate() * 100.0,
-            self.cache.evictions
-        );
-        if let Some(s) = self.server {
-            let _ = writeln!(
-                out,
-                "  server: {} connections, {} requests, {} protocol errors, {} timeouts ({} workers)",
-                s.connections, s.requests, s.protocol_errors, s.timeouts, s.workers
-            );
-        }
-        if let Some(rows) = &self.queries {
-            for q in rows {
-                let _ = writeln!(
-                    out,
-                    "  {:<10} {:>8} reqs  p50 {:.3} ms  p90 {:.3} ms  p99 {:.3} ms",
-                    q.query, q.count, q.p50_ms, q.p90_ms, q.p99_ms
-                );
-            }
-        }
-        out
     }
 }
 
@@ -182,7 +142,6 @@ mod tests {
         ServeStats {
             generation: 2,
             reloads: 1,
-            shards: 4,
             itemsets: 100,
             rules: 30,
             trie_nodes: 150,
@@ -205,7 +164,9 @@ mod tests {
     fn json_shape_without_server() {
         let json = sample().to_json();
         assert!(
-            json.starts_with("{\"schema_version\":3,\"generation\":2,\"reloads\":1,"),
+            json.starts_with(
+                "{\"schema_version\":4,\"generation\":2,\"reloads\":1,\"itemsets\":100,"
+            ),
             "{json}"
         );
         assert!(json.contains("\"server\":null"), "{json}");
@@ -217,7 +178,7 @@ mod tests {
     }
 
     #[test]
-    fn json_and_render_with_server() {
+    fn json_with_server() {
         let mut s = sample();
         s.server = Some(ServerCounters {
             connections: 3,
@@ -239,10 +200,5 @@ mod tests {
             json.contains("\"queries\":[{\"query\":\"all\",\"count\":40,\"p50_ms\":0.5"),
             "{json}"
         );
-        let human = s.render();
-        assert!(human.contains("generation 2"), "{human}");
-        assert!(human.contains("90.0% hit rate"), "{human}");
-        assert!(human.contains("8 workers"), "{human}");
-        assert!(human.contains("p99 4.000 ms"), "{human}");
     }
 }

@@ -1,131 +1,92 @@
-//! The sharded, lock-free-read store and in-process query engine.
+//! The lock-free-read store and in-process query engine.
 //!
-//! A [`Store`] holds an immutable [`ShardTable`] behind one
+//! A [`Store`] holds one immutable [`Generation`] — an [`Index`] plus its
+//! generation number and transaction count — behind one
 //! `RwLock<Arc<…>>`: readers hold the lock only long enough to clone the
 //! `Arc` (no allocation, no contention with other readers), then run the
-//! whole query against that snapshot. [`Store::load`] builds a complete
-//! replacement table **off to the side** and swaps the pointer — reloads
-//! never block readers, and a reader that started on the old table
-//! finishes on the old table (its `Arc` keeps the data alive). Because the
-//! swap replaces the whole table at once, even multi-shard queries always
-//! see one consistent generation.
+//! whole query against that generation. [`Store::load`] builds a complete
+//! replacement index **off to the side** and swaps the pointer — reloads
+//! never block readers, a reader that started on the old generation
+//! finishes on it (its `Arc` keeps the data alive), and every answer
+//! comes from exactly one generation.
 //!
-//! Shard routing is by an itemset's first item ([`shard_of`]): exact
-//! support and rule lookups touch exactly one shard, subset enumeration
-//! touches the shards of the query's items, and superset/top-k queries
-//! fan out across all shards and merge (each shard's partial answer is
-//! bounded by the query limit, so the merge is cheap).
+//! Every query is one lookup or one prefix of the index's own order:
+//! support and rules-for look the index up, subsets and supersets take
+//! the trie's first `limit` hits, top-k takes the head of a ranked list.
 //!
 //! Answers are cached in a bounded LRU ([`QueryCache`]) keyed by
 //! `(generation, encoded query)` — a reload implicitly invalidates every
 //! cached answer even if an in-flight reader races the [`QueryCache::clear`].
 
 use crate::cache::{CacheStats, QueryCache};
-use crate::index::{build_shards, shard_of, Dataset, IndexShard};
+use crate::index::{Dataset, Index};
 use crate::protocol::{Query, Response, MAX_RESULT_LIMIT};
 use crate::stats::{ServeStats, ServerCounters};
-use mining_types::{Counted, Itemset};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
-/// Store construction knobs.
-#[derive(Clone, Debug)]
-pub struct StoreConfig {
-    /// Number of index shards (first-item routing).
-    pub shards: usize,
-    /// Query-cache capacity in entries (0 disables caching).
-    pub cache_entries: usize,
-}
+/// Query-cache capacity in entries when the caller does not choose one.
+pub const DEFAULT_CACHE_ENTRIES: usize = 4096;
 
-impl Default for StoreConfig {
-    fn default() -> Self {
-        StoreConfig {
-            shards: 16,
-            cache_entries: 4096,
-        }
-    }
-}
-
-/// One immutable generation of the index.
+/// One immutable generation of the served index.
 #[derive(Debug, Default)]
-pub struct ShardTable {
-    shards: Vec<IndexShard>,
+pub struct Generation {
+    index: Index,
     num_transactions: u32,
     generation: u64,
 }
 
-impl ShardTable {
-    /// Total itemsets across shards.
-    pub fn num_itemsets(&self) -> usize {
-        self.shards.iter().map(|s| s.num_itemsets()).sum()
-    }
-
-    /// Total rules across shards.
-    pub fn num_rules(&self) -> usize {
-        self.shards.iter().map(|s| s.num_rules()).sum()
-    }
-
-    /// Total trie nodes across shards (roots included).
-    pub fn num_trie_nodes(&self) -> usize {
-        self.shards.iter().map(|s| s.num_trie_nodes()).sum()
+impl Generation {
+    /// The index every query of this generation reads.
+    pub fn index(&self) -> &Index {
+        &self.index
     }
 
     /// Monotonic reload counter (starts at 1 for the first load).
     pub fn generation(&self) -> u64 {
         self.generation
     }
-
-    /// Transactions in the mined database this table was built from.
-    pub fn num_transactions(&self) -> u32 {
-        self.num_transactions
-    }
 }
 
 /// The concurrent query-serving store.
 pub struct Store {
-    table: RwLock<Arc<ShardTable>>,
+    current: RwLock<Arc<Generation>>,
     cache: QueryCache,
-    num_shards: usize,
     generations: AtomicU64,
     reloads: AtomicU64,
 }
 
 impl Store {
-    /// An empty store (every query answers "nothing") — load a dataset
+    /// An empty store (every query answers "nothing") with a query cache
+    /// of `cache_entries` entries (0 disables caching) — load a dataset
     /// with [`Store::load`].
-    pub fn new(cfg: &StoreConfig) -> Store {
-        assert!(cfg.shards > 0, "need at least one shard");
-        let empty = ShardTable {
-            shards: vec![IndexShard::default(); cfg.shards],
-            ..ShardTable::default()
-        };
+    pub fn new(cache_entries: usize) -> Store {
         Store {
-            table: RwLock::new(Arc::new(empty)),
-            cache: QueryCache::new(cfg.cache_entries),
-            num_shards: cfg.shards,
+            current: RwLock::new(Arc::default()),
+            cache: QueryCache::new(cache_entries),
             generations: AtomicU64::new(0),
             reloads: AtomicU64::new(0),
         }
     }
 
     /// Build a store pre-loaded with `dataset`.
-    pub fn with_dataset(dataset: &Dataset, cfg: &StoreConfig) -> Store {
-        let store = Store::new(cfg);
+    pub fn with_dataset(dataset: &Dataset, cache_entries: usize) -> Store {
+        let store = Store::new(cache_entries);
         store.load(dataset);
         store
     }
 
-    /// Replace the served dataset. The new shard table is built while old
+    /// Replace the served dataset. The new index is built while old
     /// readers keep serving; only the final pointer swap takes the write
     /// lock. Returns the new generation.
     pub fn load(&self, dataset: &Dataset) -> u64 {
         let generation = self.generations.fetch_add(1, Ordering::Relaxed) + 1;
-        let next = Arc::new(ShardTable {
-            shards: build_shards(dataset, self.num_shards),
+        let next = Arc::new(Generation {
+            index: Index::build(dataset),
             num_transactions: dataset.num_transactions,
             generation,
         });
-        *self.table.write().expect("store lock") = next;
+        *self.current.write().expect("store lock") = next;
         // Stale inserts from racing readers are keyed by the old
         // generation, so clearing here is an optimization, not required
         // for correctness.
@@ -148,9 +109,9 @@ impl Store {
         self.reloads.load(Ordering::Relaxed)
     }
 
-    /// Snapshot the current table (readers run entirely on the snapshot).
-    pub fn snapshot(&self) -> Arc<ShardTable> {
-        self.table.read().expect("store lock").clone()
+    /// The current generation (readers run entirely on it).
+    pub fn snapshot(&self) -> Arc<Generation> {
+        self.current.read().expect("store lock").clone()
     }
 
     /// Answer a query, consulting the LRU cache for the cacheable kinds.
@@ -165,73 +126,35 @@ impl Store {
             }
             _ => {}
         }
-        let table = self.snapshot();
-        let mut key = table.generation.to_le_bytes().to_vec();
+        let current = self.snapshot();
+        let mut key = current.generation.to_le_bytes().to_vec();
         key.extend_from_slice(&query.encode());
         if let Some(hit) = self.cache.get(&key) {
             return Response::decode(&hit).expect("cache holds only encoded responses");
         }
-        let response = Self::answer(&table, query);
+        let response = Self::answer(&current.index, query);
         self.cache.put(key, response.encode());
         response
     }
 
-    fn answer(table: &ShardTable, query: &Query) -> Response {
+    fn answer(index: &Index, query: &Query) -> Response {
         match query {
             Query::Ping => Response::Pong,
             Query::Stats | Query::Metrics => {
                 Response::Error("stats and metrics handled above".to_string())
             }
-            Query::Support { itemset } => {
-                if itemset.is_empty() {
-                    return Response::Support(None);
-                }
-                let shard = &table.shards[shard_of(itemset, table.shards.len())];
-                Response::Support(shard.support(itemset))
-            }
+            Query::Support { itemset } => Response::Support(index.support(itemset)),
             Query::Subsets { of, limit } => {
-                let limit = clamp_limit(*limit);
-                let mut out = Vec::new();
-                for si in subset_shards(of, table.shards.len()) {
-                    // Each shard gets a full `limit` of its own: the global
-                    // first-`limit` answers are a subset of the union of the
-                    // per-shard first-`limit` answers, but not of a shared
-                    // buffer that an earlier shard may already have filled.
-                    let mut part = Vec::new();
-                    table.shards[si].subsets_of(of, limit, &mut part);
-                    out.append(&mut part);
-                }
-                merge_lexicographic(&mut out, limit);
-                Response::Itemsets(out)
+                Response::Itemsets(index.subsets_of(of, clamp_limit(*limit)))
             }
             Query::Supersets { of, limit } => {
-                let limit = clamp_limit(*limit);
-                let mut out = Vec::new();
-                for shard in &table.shards {
-                    let mut part = Vec::new();
-                    shard.supersets_of(of, limit, &mut part);
-                    out.append(&mut part);
-                }
-                merge_lexicographic(&mut out, limit);
-                Response::Itemsets(out)
+                Response::Itemsets(index.supersets_of(of, clamp_limit(*limit)))
             }
             Query::RulesFor { antecedent, k } => {
-                let k = clamp_limit(*k);
-                if antecedent.is_empty() {
-                    return Response::Rules(Vec::new());
-                }
-                let shard = &table.shards[shard_of(antecedent, table.shards.len())];
-                Response::Rules(shard.rules_for(antecedent, k).to_vec())
+                Response::Rules(index.rules_for(antecedent, clamp_limit(*k)).to_vec())
             }
             Query::TopK { size, k } => {
-                let k = clamp_limit(*k);
-                let mut out = Vec::new();
-                for shard in &table.shards {
-                    out.extend_from_slice(shard.top_k(*size as usize, k));
-                }
-                out.sort_by(|a, b| b.support.cmp(&a.support).then(a.itemset.cmp(&b.itemset)));
-                out.truncate(k);
-                Response::Itemsets(out)
+                Response::Itemsets(index.top_k(*size as usize, clamp_limit(*k)).to_vec())
             }
         }
     }
@@ -245,15 +168,14 @@ impl Store {
     /// counters (the server passes its own; in-process callers pass
     /// `None`).
     pub fn serve_stats(&self, server: Option<ServerCounters>) -> ServeStats {
-        let table = self.snapshot();
+        let current = self.snapshot();
         ServeStats {
-            generation: table.generation(),
+            generation: current.generation,
             reloads: self.reloads(),
-            shards: table.shards.len() as u64,
-            itemsets: table.num_itemsets() as u64,
-            rules: table.num_rules() as u64,
-            trie_nodes: table.num_trie_nodes() as u64,
-            num_transactions: table.num_transactions() as u64,
+            itemsets: current.index.num_itemsets() as u64,
+            rules: current.index.num_rules() as u64,
+            trie_nodes: current.index.num_trie_nodes() as u64,
+            num_transactions: u64::from(current.num_transactions),
             cache: self.cache_stats(),
             server,
             queries: None,
@@ -265,27 +187,10 @@ fn clamp_limit(limit: u32) -> usize {
     limit.min(MAX_RESULT_LIMIT) as usize
 }
 
-/// Shards that can hold a subset of `of`: a subset's first item is one of
-/// `of`'s items.
-fn subset_shards(of: &Itemset, num_shards: usize) -> Vec<usize> {
-    let mut shards: Vec<usize> = of.items().iter().map(|i| i.index() % num_shards).collect();
-    shards.sort_unstable();
-    shards.dedup();
-    shards
-}
-
-/// Per-shard partial answers are each lexicographically sorted and
-/// bounded by `limit`; the global answer is the first `limit` of their
-/// merged union.
-fn merge_lexicographic(out: &mut Vec<Counted>, limit: usize) {
-    out.sort_by(|a, b| a.itemset.cmp(&b.itemset));
-    out.truncate(limit);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mining_types::FrequentSet;
+    use mining_types::{FrequentSet, Itemset};
 
     fn iset(raw: &[u32]) -> Itemset {
         Itemset::of(raw)
@@ -313,7 +218,7 @@ mod tests {
 
     #[test]
     fn empty_store_answers_nothing() {
-        let store = Store::new(&StoreConfig::default());
+        let store = Store::new(DEFAULT_CACHE_ENTRIES);
         assert_eq!(
             store.execute(&Query::Support {
                 itemset: iset(&[1])
@@ -328,14 +233,8 @@ mod tests {
 
     #[test]
     fn queries_and_cache_agree() {
-        let cached = Store::with_dataset(&dataset(), &StoreConfig::default());
-        let uncached = Store::with_dataset(
-            &dataset(),
-            &StoreConfig {
-                cache_entries: 0,
-                ..Default::default()
-            },
-        );
+        let cached = Store::with_dataset(&dataset(), DEFAULT_CACHE_ENTRIES);
+        let uncached = Store::with_dataset(&dataset(), 0);
         let queries = [
             Query::Support {
                 itemset: iset(&[1, 2]),
@@ -369,7 +268,7 @@ mod tests {
 
     #[test]
     fn reload_bumps_generation_and_invalidates() {
-        let store = Store::with_dataset(&dataset(), &StoreConfig::default());
+        let store = Store::with_dataset(&dataset(), DEFAULT_CACHE_ENTRIES);
         let q = Query::Support {
             itemset: iset(&[4]),
         };
@@ -385,7 +284,7 @@ mod tests {
 
     #[test]
     fn reload_counter_tracks_hot_swaps_only() {
-        let store = Store::with_dataset(&dataset(), &StoreConfig::default());
+        let store = Store::with_dataset(&dataset(), DEFAULT_CACHE_ENTRIES);
         assert_eq!(store.reloads(), 0, "the initial load is not a reload");
         let generation = store.reload(&dataset());
         assert_eq!(generation, 2);
@@ -397,19 +296,19 @@ mod tests {
 
     #[test]
     fn old_snapshot_survives_reload() {
-        let store = Store::with_dataset(&dataset(), &StoreConfig::default());
+        let store = Store::with_dataset(&dataset(), DEFAULT_CACHE_ENTRIES);
         let old = store.snapshot();
         store.load(&Dataset::default());
-        assert_eq!(store.snapshot().num_itemsets(), 0);
+        assert_eq!(store.snapshot().index().num_itemsets(), 0);
         // The pre-reload reader still sees the full old generation.
-        assert_eq!(old.num_itemsets(), 7);
+        assert_eq!(old.index().num_itemsets(), 7);
         assert_eq!(old.generation(), 1);
     }
 
     /// Reload race: readers hammer the (cached) store while another
     /// thread keeps swapping between two generations whose supports are
-    /// disjoint ranges. Every answer — cache hit or miss, single- or
-    /// multi-shard — must come from *exactly one* generation: all
+    /// disjoint ranges. Every answer — cache hit or miss, one itemset or
+    /// the whole index — must come from *exactly one* generation: all
     /// supports below 100, or all at least 100, never a mix and never a
     /// stale generation resurrected through the LRU after a reload.
     #[test]
@@ -425,14 +324,8 @@ mod tests {
             .collect();
         high.rules = assoc_rules::generate(&high.frequent, 0.0);
 
-        // Small cache + few shards keeps eviction and fan-out in play.
-        let store = Arc::new(Store::with_dataset(
-            &low,
-            &StoreConfig {
-                shards: 4,
-                cache_entries: 8,
-            },
-        ));
+        // A small cache keeps eviction in play.
+        let store = Arc::new(Store::with_dataset(&low, 8));
         let stop = Arc::new(AtomicBool::new(false));
         let readers: Vec<_> = (0..4)
             .map(|_| {
@@ -487,7 +380,7 @@ mod tests {
 
     #[test]
     fn limits_are_clamped_and_zero_means_empty() {
-        let store = Store::with_dataset(&dataset(), &StoreConfig::default());
+        let store = Store::with_dataset(&dataset(), DEFAULT_CACHE_ENTRIES);
         match store.execute(&Query::Supersets {
             of: Itemset::empty(),
             limit: 0,
@@ -506,10 +399,12 @@ mod tests {
 
     #[test]
     fn stats_report_counts() {
-        let store = Store::with_dataset(&dataset(), &StoreConfig::default());
+        let store = Store::with_dataset(&dataset(), DEFAULT_CACHE_ENTRIES);
         let stats = store.serve_stats(None);
         assert_eq!(stats.itemsets, 7);
-        assert!(stats.rules > 0);
+        assert_eq!(stats.rules, dataset().rules.len() as u64);
+        // Root plus one node per itemset: every prefix is itself stored.
+        assert_eq!(stats.trie_nodes, 8);
         assert_eq!(stats.num_transactions, 12);
         let json = stats.to_json();
         assert!(json.contains("\"itemsets\":7"), "{json}");

@@ -4,7 +4,7 @@
 //! an answer (cold, warm, and cache-disabled stores all agree).
 
 use apriori::reference::{brute_force, random_db};
-use assoc_serve::{Dataset, Query, Response, Store, StoreConfig};
+use assoc_serve::{Dataset, Query, Response, Store, DEFAULT_CACHE_ENTRIES};
 use mining_types::{Counted, ItemId, Itemset, MinSupport};
 use proptest::prelude::*;
 
@@ -119,7 +119,6 @@ proptest! {
         seed in 0u64..400,
         pct in 6.0f64..30.0,
         conf in 0.05f64..0.9,
-        shards in 1usize..7,
         mask_a in 0u32..512,
         mask_b in 0u32..512,
         limit in 0u32..40,
@@ -127,8 +126,8 @@ proptest! {
         k in 0u32..15,
     ) {
         let ds = mined(seed, pct, conf);
-        let cached = Store::with_dataset(&ds, &StoreConfig { shards, cache_entries: 64 });
-        let uncached = Store::with_dataset(&ds, &StoreConfig { shards, cache_entries: 0 });
+        let cached = Store::with_dataset(&ds, 64);
+        let uncached = Store::with_dataset(&ds, 0);
 
         for mask in [mask_a, mask_b] {
             let q = mask_itemset(mask);
@@ -176,7 +175,7 @@ fn wire_roundtrip_preserves_every_answer() {
     // representation must be lossless so the TCP path can't diverge from
     // the in-process path.
     let ds = mined(7, 10.0, 0.3);
-    let store = Store::with_dataset(&ds, &StoreConfig::default());
+    let store = Store::with_dataset(&ds, DEFAULT_CACHE_ENTRIES);
     let mut queries = vec![Query::TopK { size: 0, k: 50 }];
     for mask in 0u32..64 {
         let q = mask_itemset(mask);

@@ -4,7 +4,7 @@
 //! never panic and must keep serving other connections through all of it.
 
 use assoc_serve::protocol::{read_frame, write_frame, Frame, MAX_RESPONSE_FRAME};
-use assoc_serve::{Client, Dataset, Query, Response, ServerConfig, Store, StoreConfig};
+use assoc_serve::{Client, Dataset, Query, Response, ServerConfig, Store, DEFAULT_CACHE_ENTRIES};
 use mining_types::{FrequentSet, Itemset};
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -36,7 +36,7 @@ fn dataset() -> Dataset {
 }
 
 fn start_server(cfg: &ServerConfig) -> (Arc<Store>, assoc_serve::ServerHandle) {
-    let store = Arc::new(Store::with_dataset(&dataset(), &StoreConfig::default()));
+    let store = Arc::new(Store::with_dataset(&dataset(), DEFAULT_CACHE_ENTRIES));
     let handle = assoc_serve::start(Arc::clone(&store), cfg).expect("bind loopback");
     (store, handle)
 }

@@ -168,6 +168,48 @@ grep -Eq '"reloads":[1-9]' "$tmpdir/reload_stats.out"
 wait "$serve_pid"
 grep -Eq '[1-9][0-9]* reloads' "$tmpdir/serve.out"
 
+echo "==> serve --input == serve --load of its mine --out snapshot (one mine-then-rules path)"
+# Both boot paths mine and generate rules through the same full mine, so
+# a fixed query list and the served counts must match byte for byte. The
+# probes are the top pair (it heads mine's list: no superset outranks its
+# own pairs) and the antecedent of the first rule `rules` prints.
+cargo run -q --release -p eclat-cli -- mine --input "$tmpdir/t10.ech" \
+    --support 0.5 --confidence 0.9 --out "$tmpdir/boot.snap" > "$tmpdir/boot_mine.out"
+pair="$(sed -n '/^top by support/{n;p;q}' "$tmpdir/boot_mine.out" | tr -d '{}' \
+    | awk '{print $1 "," $2}')"
+cargo run -q --release -p eclat-cli -- rules --input "$tmpdir/t10.ech" \
+    --support 0.5 --confidence 0.9 --top 1 > "$tmpdir/boot_rules.out"
+ante="$(sed -n '2s/^ *{\([^}]*\)}.*/\1/p' "$tmpdir/boot_rules.out" | tr ' ' ',')"
+cargo run -q --release -p eclat-cli -- serve --input "$tmpdir/t10.ech" \
+    --support 0.5 --confidence 0.9 --port 0 --port-file "$tmpdir/port_input" \
+    --serve-secs 10 > /dev/null &
+input_pid=$!
+cargo run -q --release -p eclat-cli -- serve --load "$tmpdir/boot.snap" \
+    --port 0 --port-file "$tmpdir/port_load" --serve-secs 10 > /dev/null &
+load_pid=$!
+for boot in input load; do
+    for _ in $(seq 50); do [ -s "$tmpdir/port_$boot" ] && break; sleep 0.1; done
+    test -s "$tmpdir/port_$boot"
+done
+for boot in input load; do
+    addr="127.0.0.1:$(cat "$tmpdir/port_$boot")"
+    {
+        cargo run -q --release -p eclat-cli -- query --addr "$addr" --topk 10
+        cargo run -q --release -p eclat-cli -- query --addr "$addr" --topk 10 --size 2
+        cargo run -q --release -p eclat-cli -- query --addr "$addr" \
+            --subsets-of "$pair" --supersets-of "$pair" --limit 5
+        cargo run -q --release -p eclat-cli -- query --addr "$addr" \
+            --rules-for "$ante" --supersets-of "$ante" --limit 5
+        cargo run -q --release -p eclat-cli -- query --addr "$addr" --server-stats \
+            | grep -Eo '"(itemsets|rules|trie_nodes)":[0-9]+'
+    } > "$tmpdir/boot_$boot.out"
+done
+wait "$input_pid"
+wait "$load_pid"
+grep -Eq '^[1-9][0-9]* rules for antecedent' "$tmpdir/boot_load.out"
+grep -Eq '^([2-9]|[1-9][0-9]+) frequent supersets of' "$tmpdir/boot_load.out"
+diff "$tmpdir/boot_input.out" "$tmpdir/boot_load.out"
+
 echo "==> inflated headers: mine --input / serve --load exit 2 with a read error"
 # 20-byte horizontal headers announcing 2^44 transactions or 2^32 - 1
 # items, and a 24-byte v1 snapshot header announcing a 2^45-byte payload.

@@ -354,7 +354,6 @@ const SERVE_KEYS: &[&str] = &[
     "rules",
     "schema_version",
     "server",
-    "shards",
     "timeouts",
     "trie_nodes",
     "value_bytes",
@@ -366,7 +365,6 @@ fn serve_stats_schema_is_pinned() {
     let stats = ServeStats {
         generation: 1,
         reloads: 1,
-        shards: 4,
         itemsets: 200,
         rules: 50,
         trie_nodes: 300,
@@ -396,7 +394,12 @@ fn serve_stats_schema_is_pinned() {
         }]),
     };
     let json = stats.to_json();
-    assert!(json.starts_with(&format!("{{\"schema_version\":{SERVE_SCHEMA_VERSION},")));
+    // v4: one index per generation, so `itemsets` follows `reloads`.
+    assert_eq!(SERVE_SCHEMA_VERSION, 4);
+    assert!(
+        json.starts_with("{\"schema_version\":4,\"generation\":1,\"reloads\":1,\"itemsets\":200,"),
+        "{json}"
+    );
     assert_eq!(
         collect_keys(&json),
         SERVE_KEYS.iter().map(|s| s.to_string()).collect::<Vec<_>>(),
