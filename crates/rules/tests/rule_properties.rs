@@ -4,10 +4,13 @@
 
 use apriori::reference::{brute_force, random_db};
 use assoc_rules::generate;
-use mining_types::{FrequentSet, MinSupport};
+use mining_types::{FrequentSet, MinSupport, Rule};
 use proptest::prelude::*;
 
-fn naive(fs: &FrequentSet, min_conf: f64) -> Vec<(mining_types::Itemset, mining_types::Itemset)> {
+/// Every rule of every itemset, enumerated without pruning and sorted
+/// by the documented comparator: descending confidence, descending
+/// support, then lexicographic antecedent and consequent.
+fn naive(fs: &FrequentSet, min_conf: f64) -> Vec<Rule> {
     let mut out = Vec::new();
     for (x, xs) in fs.iter() {
         if x.len() < 2 {
@@ -18,12 +21,24 @@ fn naive(fs: &FrequentSet, min_conf: f64) -> Vec<(mining_types::Itemset, mining_
                 let a = x.difference(&y);
                 let asup = fs.support_of(&a).unwrap();
                 if xs as f64 / asup as f64 >= min_conf {
-                    out.push((a, y));
+                    out.push(Rule {
+                        antecedent: a,
+                        consequent_support: fs.support_of(&y).unwrap(),
+                        consequent: y,
+                        support: xs,
+                        antecedent_support: asup,
+                    });
                 }
             }
         }
     }
-    out.sort();
+    out.sort_by(|a, b| {
+        b.confidence()
+            .total_cmp(&a.confidence())
+            .then(b.support.cmp(&a.support))
+            .then(a.antecedent.cmp(&b.antecedent))
+            .then(a.consequent.cmp(&b.consequent))
+    });
     out
 }
 
@@ -38,13 +53,11 @@ proptest! {
     ) {
         let db = random_db(seed, 100, 10, 5);
         let fs = brute_force(&db, MinSupport::from_percent(pct));
-        let fast: Vec<_> = generate(&fs, conf)
-            .into_iter()
-            .map(|r| (r.antecedent, r.consequent))
-            .collect();
-        let mut fast_sorted = fast.clone();
-        fast_sorted.sort();
-        prop_assert_eq!(fast_sorted, naive(&fs, conf));
+        // The whole output, order and all five fields, at the sampled
+        // threshold and at both ends of the range.
+        for min_conf in [0.0, conf, 1.0] {
+            prop_assert_eq!(generate(&fs, min_conf), naive(&fs, min_conf), "conf {}", min_conf);
+        }
     }
 
     #[test]
