@@ -29,6 +29,16 @@ impl Flags {
         self.bare.iter().any(|b| b == key) || self.get(key).is_some()
     }
 
+    /// A flag given that is not among the space-separated `known`, if any.
+    pub(crate) fn unknown(&self, known: &str) -> Option<&str> {
+        self.pairs
+            .iter()
+            .map(|(k, _)| k)
+            .chain(&self.bare)
+            .map(String::as_str)
+            .find(|flag| !known.split_whitespace().any(|k| k == *flag))
+    }
+
     pub(crate) fn parse<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
         match self.get(key) {
             None => Ok(default),

@@ -146,22 +146,25 @@ fn malformed_frames_get_a_diagnostic_and_the_worker_survives() {
     huge_txns[12..].copy_from_slice(&(1u64 << 44).to_le_bytes());
     let mut huge_items = empty;
     huge_items[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
-    for block in [huge_txns, huge_items] {
+    // Every case below opens its own run: the worker frees a run id when
+    // the aborted session unwinds, which can trail the Abort the client
+    // reads, so reusing the id races that teardown.
+    for (run_id, block) in [(9, huge_txns), (19, huge_items)] {
         let mut s = TcpStream::connect(worker.addr()).unwrap();
         send_msg(
             &mut s,
             &Message::Hello {
                 version: PROTOCOL_VERSION,
-                run_id: 9,
+                run_id,
                 rank: 0,
                 num_workers: 1,
             },
         );
-        assert!(matches!(recv_msg(&mut s), Message::HelloAck { run_id: 9 }));
+        assert!(matches!(recv_msg(&mut s), Message::HelloAck { run_id: r } if r == run_id));
         send_msg(
             &mut s,
             &Message::Assign {
-                run_id: 9,
+                run_id,
                 threshold: 1,
                 tid_offset: 0,
                 flags: 0,
@@ -182,22 +185,22 @@ fn malformed_frames_get_a_diagnostic_and_the_worker_survives() {
     // universe: the pair index would otherwise size a rank per item id.
     let mut block = Vec::new();
     binfmt::write_horizontal(&random_db(5, 40, 12, 5), &mut block).unwrap();
-    for pair in [(3, 1), (0, u32::MAX)] {
+    for (run_id, pair) in [(10, (3, 1)), (20, (0, u32::MAX))] {
         let mut s = TcpStream::connect(worker.addr()).unwrap();
         send_msg(
             &mut s,
             &Message::Hello {
                 version: PROTOCOL_VERSION,
-                run_id: 10,
+                run_id,
                 rank: 0,
                 num_workers: 1,
             },
         );
-        assert!(matches!(recv_msg(&mut s), Message::HelloAck { run_id: 10 }));
+        assert!(matches!(recv_msg(&mut s), Message::HelloAck { run_id: r } if r == run_id));
         send_msg(
             &mut s,
             &Message::Assign {
-                run_id: 10,
+                run_id,
                 threshold: 1,
                 tid_offset: 0,
                 flags: 0,
@@ -210,7 +213,7 @@ fn malformed_frames_get_a_diagnostic_and_the_worker_survives() {
         send_msg(
             &mut s,
             &Message::Plan {
-                run_id: 10,
+                run_id,
                 l2: vec![pair],
                 slot_owner: vec![0],
                 peers: vec![worker.addr().to_string()],

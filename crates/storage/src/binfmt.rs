@@ -328,8 +328,13 @@ fn put_itemset(buf: &mut Vec<u8>, is: &Itemset) {
     put_u32_vec(buf, items_as_u32(is.items()));
 }
 
+/// Decode one itemset of a results payload: a frequent itemset or one
+/// side of a rule, none of which may be empty.
 fn get_itemset(c: &mut Cursor<'_>) -> io::Result<Itemset> {
-    let items = c.u32_vec()?.into_iter().map(ItemId).collect();
+    let items: Vec<ItemId> = c.u32_vec()?.into_iter().map(ItemId).collect();
+    if items.is_empty() {
+        return Err(bad_format("itemset is empty"));
+    }
     Itemset::try_from_sorted(items).ok_or_else(|| bad_format("itemset is not strictly ascending"))
 }
 
@@ -421,7 +426,7 @@ pub fn peek_results_header<R: Read>(r: &mut R) -> io::Result<(u32, u64, u64)> {
 /// # Errors
 /// `InvalidData` on wrong magic/version, unknown feature bits, a
 /// checksum mismatch (file corrupted or truncated), or malformed
-/// payload structure (including unsorted or repeated itemsets).
+/// payload structure (including unsorted, empty or repeated itemsets).
 pub fn read_results<R: Read>(r: &mut R) -> io::Result<(ResultsSnapshot, u64)> {
     let (version, generation, checksum, len) = read_results_header(r)?;
     let payload = read_container_payload(r, checksum, len, "results snapshot")?;
@@ -720,6 +725,49 @@ mod tests {
         let mut buf = Vec::new();
         write_horizontal(&db, &mut buf).unwrap();
         assert!(read_results(&mut buf.as_slice()).is_err());
+    }
+
+    /// A correctly checksummed v2 snapshot whose payload is `payload`.
+    fn v2_file(payload: &[u8]) -> Vec<u8> {
+        let mut ext = Vec::new();
+        put_u64(&mut ext, 1);
+        put_u32(&mut ext, RESULTS_FEATURES);
+        let mut file = Vec::new();
+        write_container(&mut file, MAGIC_RESULTS, RESULTS_VERSION, &ext, payload).unwrap();
+        file
+    }
+
+    #[test]
+    fn empty_itemsets_rejected() {
+        // The 56-byte snapshot: 10 transactions, one itemset of length 0
+        // with support 5, no rules.
+        let mut payload = Vec::new();
+        for word in [10, 1, 0, 5, 0] {
+            put_u32(&mut payload, word);
+        }
+        let file = v2_file(&payload);
+        assert_eq!(file.len(), 56);
+        let err = read_results(&mut file.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("empty"), "{err}");
+
+        // A rule with an empty antecedent, then one with an empty
+        // consequent, over the frequent itemset {1}.
+        for (antecedent, consequent) in [(&[][..], &[1u32][..]), (&[1][..], &[][..])] {
+            let mut payload = Vec::new();
+            put_u32(&mut payload, 10);
+            put_u32(&mut payload, 1);
+            put_u32_vec(&mut payload, &[1]);
+            put_u32(&mut payload, 5);
+            put_u32(&mut payload, 1);
+            put_u32_vec(&mut payload, antecedent);
+            put_u32_vec(&mut payload, consequent);
+            for support in [5, 5, 5] {
+                put_u32(&mut payload, support);
+            }
+            let err = read_results(&mut v2_file(&payload).as_slice()).unwrap_err();
+            assert!(err.to_string().contains("empty"), "{err}");
+        }
     }
 
     #[test]

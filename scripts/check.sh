@@ -210,6 +210,19 @@ grep -Eq '^[1-9][0-9]* rules for antecedent' "$tmpdir/boot_load.out"
 grep -Eq '^([2-9]|[1-9][0-9]+) frequent supersets of' "$tmpdir/boot_load.out"
 diff "$tmpdir/boot_input.out" "$tmpdir/boot_load.out"
 
+echo "==> rules: a million-rule gate (count and head of the order on a tie-heavy set)"
+# 11 259 itemsets at 0.5 % of 1 200 transactions give 1 169 806 rules
+# with only 121 distinct (confidence, support) pairs, so the
+# antecedent/consequent tie-breaks order almost all of them.
+cargo run -q --release -p eclat-cli -- generate --out "$tmpdir/m1.ech" \
+    --transactions 1200 --seed 3 > /dev/null
+cargo run -q --release -p eclat-cli -- rules --input "$tmpdir/m1.ech" \
+    --support 0.5 --confidence 0.3 --top 1 > "$tmpdir/m1_rules.out"
+diff "$tmpdir/m1_rules.out" - <<'EOF'
+1169806 rules at confidence >= 0.3 (from 11259 frequent itemsets)
+  {144 577}                  => {940}              conf 1.000  sup     12  lift 36.36
+EOF
+
 echo "==> inflated headers: mine --input / serve --load exit 2 with a read error"
 # 20-byte horizontal headers announcing 2^44 transactions or 2^32 - 1
 # items, and a 24-byte v1 snapshot header announcing a 2^45-byte payload.
