@@ -288,8 +288,8 @@ cargo run -q --release -p repro-bench --bin seqbench -- --smoke \
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> cargo clippy -- -D warnings"
-cargo clippy --workspace --all-targets -- -D warnings
+echo "==> cargo clippy -- -D warnings -D clippy::undocumented_unsafe_blocks"
+cargo clippy --workspace --all-targets -- -D warnings -D clippy::undocumented_unsafe_blocks
 
 echo "==> cargo doc (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
