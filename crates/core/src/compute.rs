@@ -69,34 +69,39 @@ pub enum Representation {
     /// [`Diffset`]: Representation::Diffset
     AutoDensity {
         /// Density threshold in thousandths; the default is
-        /// [`DEFAULT_DENSITY_PERMILLE`], the measured crossover between
-        /// the two arms.
+        /// [`DEFAULT_DENSITY_PERMILLE`], whose doc holds the measured
+        /// seconds of the two arms.
         permille: u32,
     },
 }
 
-/// Default `auto-density` threshold: 20‰, where bitmaps start to beat
-/// diffsets on measured seconds. Each `L2` class was mined alone through
+/// Default `auto-density` threshold: 20‰, the measured crossover between
+/// diffsets and bitmaps while the bitmap join tested its bound after
+/// every word. Each `L2` class was mined alone through
 /// `pipeline::mine_class`, best of 3, and its seconds summed per density
 /// band. The inputs were T10.I6.D100K–D400K at 0.25–1 %, T20.I4 and
 /// T20.I6 D100K at 1–2 %, and the 48-item dense D100K at 3 %, each with
-/// two transaction seeds, on a 2-core x86-64 host (release build):
+/// two transaction seeds, on a 2-core x86-64 host (release build, AVX-512
+/// `VPOPCNTQ` reported). Each cell is the mean of two runs; "per-word
+/// bitmaps" is the previous join, measured in the same runs:
 ///
-/// | density ‰ | classes | tid-lists | diffsets | bitmaps |
-/// |---|---|---|---|---|
-/// | < 8 | 885 | 347 ms | **175 ms** | 1 254 ms |
-/// | 8–16 | 243 | 42.3 ms | **20.8 ms** | 51.3 ms |
-/// | 16–20 | 39 | 19.3 ms | **9.0 ms** | 11.2 ms |
-/// | 20–24 | 35 | 6.7 ms | 4.3 ms | **3.8 ms** |
-/// | 24–32 | 12 | 0.68 ms | **0.50 ms** | 0.51 ms |
-/// | 32–64 | 26 | 114 ms | 93 ms | **20 ms** |
-/// | ≥ 64 | 52 | 3 348 ms | 3 341 ms | **279 ms** |
+/// | density ‰ | classes | tid-lists | diffsets | bitmaps | per-word bitmaps |
+/// |---|---|---|---|---|---|
+/// | < 8 | 1 132 | 215 ms | **112 ms** | 189 ms | 716 ms |
+/// | 8–16 | 425 | 38.8 ms | 18.1 ms | **10.5 ms** | 33.3 ms |
+/// | 16–20 | 71 | 11.9 ms | 5.4 ms | **2.2 ms** | 6.2 ms |
+/// | 20–24 | 22 | 0.57 ms | 0.30 ms | **0.16 ms** | 0.34 ms |
+/// | 24–32 | 2 | < 0.01 ms | < 0.01 ms | < 0.01 ms | < 0.01 ms |
+/// | 32–64 | 36 | 65.9 ms | 54.9 ms | **3.0 ms** | 9.5 ms |
+/// | ≥ 64 | 52 | 2 165 ms | 2 157 ms | **41.5 ms** | 146 ms |
 ///
-/// Among thresholds 8–64‰, 20‰ gives the lowest summed seconds (or ties
-/// for it) on seven of the eight inputs; on the eighth, T20.I6 at 2 %,
-/// whose classes take under 0.1 ms in all, it loses 0.08 ms to 22‰.
-/// The previous 8‰ was the bitmap-vs-merge *op-count* crossover; it
-/// sent 8–16‰ classes to bitmaps, which lose 2.5× to diffsets there.
+/// With the per-word join, diffsets won every band below 24‰, and 20‰
+/// came within 0.08 ms of the best threshold on each input. The
+/// count-first join moved the crossover down to about 8‰: bitmaps now win
+/// 8–16‰ by 1.7× and 16–20‰ by 2.5×, and lose 4–8‰ by 1.2×. The constant
+/// stays at 20‰ because it also routes the stream engine's classes, which
+/// have not been measured at a lower threshold. The older 8‰ default was
+/// the bitmap-vs-merge *op-count* crossover.
 pub const DEFAULT_DENSITY_PERMILLE: u32 = 20;
 
 impl std::fmt::Display for Representation {
